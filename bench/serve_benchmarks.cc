@@ -1,13 +1,14 @@
 /// Closed-loop load benchmark for edge::serve (not a paper table): trains a
 /// small world once, then drives the service with concurrent closed-loop
 /// clients (each issues its next request when the previous answer returns)
-/// across a sweep of micro-batch sizes and worker budgets.
+/// across a sweep of batch caps and worker budgets.
 ///
 /// Writes BENCH_serve.json: per configuration the sustained QPS and the
 /// p50/p99 request latency, with the response cache off so every request
 /// pays the real batched-inference path, plus one cache-on row as the upper
-/// bound. Use it to pick --max-batch / --workers for a deployment: on a
-/// 1-core host larger batches trade tail latency for throughput.
+/// bound. Workers are work conserving (a batch is whatever queued while
+/// every worker was busy, up to --max-batch), so the rows show what the cap
+/// and --workers change once no request waits for a batch to fill.
 ///
 /// Also writes BENCH_obs.json: the same closed-loop sweep at one fixed
 /// configuration with request telemetry off, on, and on+tracing, so the
@@ -70,7 +71,6 @@ LoadResult RunLoad(const std::string& checkpoint, const text::Gazetteer& gazette
                    size_t requests_per_client, bool telemetry = true) {
   serve::GeoServiceOptions options;
   options.max_batch = max_batch;
-  options.max_delay_ms = 1.0;
   options.num_workers = workers;
   options.cache_capacity = cache ? 4096 : 0;
   options.telemetry = telemetry;
@@ -136,7 +136,6 @@ OpenLoopResult RunOpenLoop(const std::string& checkpoint,
                            double deadline_ms) {
   serve::GeoServiceOptions options;
   options.max_batch = 8;
-  options.max_delay_ms = 1.0;
   options.num_workers = 2;
   options.cache_capacity = 0;
   options.queue_capacity = 256;  // Small enough that overload actually sheds.
@@ -337,6 +336,8 @@ int main() {
                kObsBatch, kObsWorkers);
   std::fprintf(obs_out, "  \"closed_loop_clients\": %zu,\n", kClients);
   std::fprintf(obs_out, "  \"requests_per_client\": %zu,\n", kRequestsPerClient);
+  std::fprintf(obs_out, "  \"hardware_concurrency\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(obs_out, "  \"runs\": [\n");
   write_row("telemetry_off", off, false);
   write_row("telemetry_on", on, false);

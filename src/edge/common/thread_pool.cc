@@ -33,17 +33,28 @@ obs::Gauge* QueueDepthGauge() {
   return gauge;
 }
 
-/// Runs one task with busy-time/throughput accounting. The `pool.task`
-/// latency fault point perturbs task start times so chaos runs exercise
-/// scheduling orders a quiet machine never produces; bitwise-parity tests
-/// must still pass under it (the determinism contract is order-independent).
-void RunAccounted(std::packaged_task<void()>* task) {
+/// Runs one task with busy-time/throughput accounting. It runs inside the
+/// task's packaged_task, so the counters are updated before the future
+/// becomes ready: a caller that waited on the future sees its task counted.
+/// The `pool.task` latency fault point perturbs task start times so chaos
+/// runs exercise scheduling orders a quiet machine never produces;
+/// bitwise-parity tests must still pass under it (the determinism contract
+/// is order-independent).
+void RunAccounted(const std::function<void()>& fn) {
   fault::Probe("pool.task");
   Stopwatch watch;
-  (*task)();  // packaged_task routes exceptions into the task's future.
-  BusyMicrosCounter()->Increment(
-      static_cast<int64_t>(watch.ElapsedSeconds() * 1e6));
-  TasksExecutedCounter()->Increment();
+  auto account = [&watch] {
+    BusyMicrosCounter()->Increment(
+        static_cast<int64_t>(watch.ElapsedSeconds() * 1e6));
+    TasksExecutedCounter()->Increment();
+  };
+  try {
+    fn();
+  } catch (...) {
+    account();
+    throw;  // packaged_task routes it into the task's future.
+  }
+  account();
 }
 
 }  // namespace
@@ -65,10 +76,10 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
+  std::packaged_task<void()> task([fn = std::move(fn)] { RunAccounted(fn); });
   std::future<void> future = task.get_future();
   if (workers_.empty()) {
-    RunAccounted(&task);  // Degenerate pool: run inline so futures still complete.
+    task();  // Degenerate pool: run inline so futures still complete.
     return future;
   }
   {
@@ -92,7 +103,7 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
       QueueDepthGauge()->Set(static_cast<double>(queue_.size()));
     }
-    RunAccounted(&task);
+    task();
   }
 }
 

@@ -3,15 +3,49 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstring>
 
 #include "edge/common/check.h"
 #include "edge/net/socket_util.h"
 
 namespace edge::net {
+
+namespace {
+
+/// Pseudo connection ids for the two non-connection pollfd slots; real ids
+/// count up from 1.
+constexpr LineServer::ConnId kListenSlot = 0;
+constexpr LineServer::ConnId kWakeSlot = ~LineServer::ConnId{0};
+
+}  // namespace
+
+Result<std::unique_ptr<Waker>> Waker::Create() {
+  int fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (fd < 0) return Status::Internal(std::string("eventfd: ") + std::strerror(errno));
+  return std::unique_ptr<Waker>(new Waker(fd));
+}
+
+Waker::~Waker() { CloseFd(fd_); }
+
+void Waker::Wake() const {
+  // Adds 1 to the eventfd counter. The only failure on a non-blocking
+  // eventfd is EAGAIN at a saturated counter, which is still a pending wake.
+  const uint64_t one = 1;
+  ssize_t n = ::write(fd_, &one, sizeof(one));
+  (void)n;
+}
+
+void Waker::Drain() const {
+  // One read returns and zeroes the whole counter (EAGAIN when already 0).
+  uint64_t count = 0;
+  ssize_t n = ::read(fd_, &count, sizeof(count));
+  (void)n;
+}
 
 Result<std::unique_ptr<LineServer>> LineServer::Listen(const Options& options,
                                                        Callbacks callbacks) {
@@ -111,11 +145,15 @@ void LineServer::RunOnce(int timeout_ms) {
   // connections mid-dispatch, so every access below re-finds by id.
   std::vector<pollfd> fds;
   std::vector<ConnId> ids;
-  fds.reserve(conns_.size() + 1);
-  ids.reserve(conns_.size() + 1);
+  fds.reserve(conns_.size() + 2);
+  ids.reserve(conns_.size() + 2);
   if (listen_fd_ >= 0) {
     fds.push_back({listen_fd_, POLLIN, 0});
-    ids.push_back(0);
+    ids.push_back(kListenSlot);
+  }
+  if (options_.waker != nullptr) {
+    fds.push_back({options_.waker->fd(), POLLIN, 0});
+    ids.push_back(kWakeSlot);
   }
   for (const auto& [id, conn] : conns_) {
     short events = 0;
@@ -130,8 +168,14 @@ void LineServer::RunOnce(int timeout_ms) {
 
   for (size_t i = 0; i < fds.size(); ++i) {
     if (fds[i].revents == 0) continue;
-    if (ids[i] == 0) {
+    if (ids[i] == kListenSlot) {
       AcceptPending();
+      continue;
+    }
+    if (ids[i] == kWakeSlot) {
+      // Drained before the caller looks for the work it announced, so a
+      // Wake() racing that look is kept for the next RunOnce.
+      options_.waker->Drain();
       continue;
     }
     ConnId id = ids[i];

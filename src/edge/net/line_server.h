@@ -29,9 +29,33 @@
 ///
 /// Everything runs on the caller's thread inside RunOnce(): callbacks may
 /// freely Send/Pause/Close any connection. The loop never blocks on a
-/// peer; RunOnce blocks at most `timeout_ms` in poll().
+/// peer; RunOnce blocks in poll() until a socket is ready, the optional
+/// Waker fires, or `timeout_ms` passes.
 
 namespace edge::net {
+
+/// Cross-thread wake-up for a poll() loop, backed by a Linux eventfd. Any
+/// thread — or a signal handler — calls Wake(); the loop polls fd() for
+/// POLLIN and calls Drain(). Wakes coalesce, and a Wake() that lands before
+/// the loop polls stays pending until drained, so none is lost.
+class Waker {
+ public:
+  static Result<std::unique_ptr<Waker>> Create();
+  ~Waker();
+
+  Waker(const Waker&) = delete;
+  Waker& operator=(const Waker&) = delete;
+
+  /// Thread-safe and async-signal-safe (one write()).
+  void Wake() const;
+  /// Clears every pending wake; call from the loop thread after poll().
+  void Drain() const;
+  int fd() const { return fd_; }
+
+ private:
+  explicit Waker(int fd) : fd_(fd) {}
+  int fd_;
+};
 
 class LineServer {
  public:
@@ -48,6 +72,9 @@ class LineServer {
     size_t write_low_watermark = 256u << 10;
     /// Accepted connections beyond this are closed immediately.
     size_t max_connections = 1024;
+    /// Polled beside the sockets: a Wake() from another thread ends the
+    /// current (or next) RunOnce early. Not owned; must outlive the server.
+    const Waker* waker = nullptr;
   };
 
   struct Callbacks {
@@ -109,8 +136,8 @@ class LineServer {
   /// True when no connection has pending outbound bytes.
   bool idle() const;
 
-  /// One poll() iteration: accepts, reads/frames/dispatches, flushes writes.
-  /// Blocks at most timeout_ms waiting for events.
+  /// One poll() iteration: accepts, reads/frames/dispatches, flushes writes,
+  /// drains the waker. Blocks at most timeout_ms (-1 = until an event).
   void RunOnce(int timeout_ms);
 
  private:

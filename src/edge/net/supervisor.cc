@@ -255,14 +255,21 @@ Result<int> SpawnProcess(const std::vector<std::string>& argv) {
     return Status::Internal(std::string("fork: ") + std::strerror(errno));
   }
   if (pid == 0) {
-    // Child. The router's listen socket, client connections and replica
-    // links must not leak into the replica: close everything above stdio.
+    // Child. Lead a process group of its own, so TerminateProcess reaches
+    // whatever the replica itself spawns (a wrapper shell's children).
+    ::setpgid(0, 0);
+    // The router's listen socket, client connections and replica links must
+    // not leak into the replica: close everything above stdio.
     for (int fd = 3; fd < 1024; ++fd) ::close(fd);
     ::execvp(c_argv[0], c_argv.data());
     std::fprintf(stderr, "edge fleet: exec %s: %s\n", c_argv[0],
                  std::strerror(errno));
     ::_exit(127);
   }
+  // Also set from the parent, so the group exists before this returns no
+  // matter which process runs first (EACCES once the child has exec'd is
+  // harmless: the child set it already).
+  ::setpgid(pid, pid);
   return static_cast<int>(pid);
 }
 
@@ -283,7 +290,10 @@ bool ReapProcess(int pid, int* exit_code) {
 }
 
 void TerminateProcess(int pid, bool force) {
-  if (pid > 0) ::kill(static_cast<pid_t>(pid), force ? SIGKILL : SIGTERM);
+  if (pid <= 0) return;
+  const int sig = force ? SIGKILL : SIGTERM;
+  // The whole group SpawnProcess made; the pid alone if it has no group.
+  if (::kill(-static_cast<pid_t>(pid), sig) != 0) ::kill(static_cast<pid_t>(pid), sig);
 }
 
 #else  // _WIN32: the fleet mode is POSIX-only; stubs keep the library linking.

@@ -215,14 +215,16 @@ Result<FleetConfig> LoadFleetConfig(const std::string& path);
 
 /// fork/execs `argv` with stdio inherited and every descriptor >= 3 closed
 /// in the child (the router's listen socket and replica links must not leak
-/// into replicas). Returns the child pid.
+/// into replicas). The child leads a new process group (pgid == pid).
+/// Returns the child pid.
 Result<int> SpawnProcess(const std::vector<std::string>& argv);
 
 /// Non-blocking reap: true when `pid` has exited (WNOHANG); *exit_code gets
 /// the exit status or -signal for a signal death.
 bool ReapProcess(int pid, int* exit_code);
 
-/// SIGTERM (force=false) or SIGKILL (force=true).
+/// SIGTERM (force=false) or SIGKILL (force=true) to the process group of a
+/// SpawnProcess child, so nothing it spawned outlives it.
 void TerminateProcess(int pid, bool force);
 
 }  // namespace edge::net

@@ -149,9 +149,6 @@ Status GeoServiceOptions::Validate() const {
   if (max_batch == 0 || max_batch > kMaxBatchCap) {
     return Status::InvalidArgument("max_batch must be in [1, 65536]");
   }
-  if (!(max_delay_ms >= 0.0) || !std::isfinite(max_delay_ms)) {
-    return Status::InvalidArgument("max_delay_ms must be finite and >= 0");
-  }
   if (num_workers == 0 || num_workers > kMaxWorkersCap) {
     return Status::InvalidArgument("num_workers must be in [1, 1024]");
   }
@@ -193,29 +190,34 @@ const char* DegradeReasonName(DegradeReason reason) {
   return "unknown";
 }
 
-Result<std::unique_ptr<GeoService>> GeoService::Create(std::istream* checkpoint,
-                                                       text::Gazetteer gazetteer,
-                                                       GeoServiceOptions options) {
+Result<std::unique_ptr<GeoService>> GeoService::Create(
+    std::istream* checkpoint, text::Gazetteer gazetteer, GeoServiceOptions options,
+    CompletionNotifier on_batch_done) {
   EDGE_CHECK(checkpoint != nullptr);
   auto model = core::EdgeModel::LoadInference(checkpoint);
   if (!model.ok()) return model.status();
-  return Create(std::move(model).value(), std::move(gazetteer), options);
+  return Create(std::move(model).value(), std::move(gazetteer), options,
+                std::move(on_batch_done));
 }
 
 Result<std::unique_ptr<GeoService>> GeoService::Create(
     std::unique_ptr<core::EdgeModel> model, text::Gazetteer gazetteer,
-    GeoServiceOptions options) {
+    GeoServiceOptions options, CompletionNotifier on_batch_done) {
   if (model == nullptr) return Status::InvalidArgument("null model");
   Status status = options.Validate();
   if (!status.ok()) return status;
   model->set_num_threads(options.predict_threads);
-  return std::unique_ptr<GeoService>(
-      new GeoService(std::move(model), std::move(gazetteer), options));
+  return std::unique_ptr<GeoService>(new GeoService(
+      std::move(model), std::move(gazetteer), options, std::move(on_batch_done)));
 }
 
 GeoService::GeoService(std::unique_ptr<core::EdgeModel> model,
-                       text::Gazetteer gazetteer, const GeoServiceOptions& options)
-    : options_(options), ner_(std::move(gazetteer)), cache_(options.cache_capacity) {
+                       text::Gazetteer gazetteer, const GeoServiceOptions& options,
+                       CompletionNotifier on_batch_done)
+    : options_(options),
+      on_batch_done_(std::move(on_batch_done)),
+      ner_(std::move(gazetteer)),
+      cache_(options.cache_capacity) {
   auto state = std::make_shared<ModelState>();
   state->fallback = model->FallbackPrediction();
   state->model = std::move(model);
@@ -236,7 +238,6 @@ GeoService::GeoService(std::unique_ptr<core::EdgeModel> model,
   }
   EDGE_LOG(INFO) << "geo service up" << obs::Kv("workers", options_.num_workers)
                  << obs::Kv("max_batch", options_.max_batch)
-                 << obs::Kv("max_delay_ms", options_.max_delay_ms)
                  << obs::Kv("queue_capacity", options_.queue_capacity)
                  << obs::Kv("cache_capacity", options_.cache_capacity);
 }
@@ -578,43 +579,25 @@ void GeoService::ResumeWorkers() {
 
 bool GeoService::NextBatch(std::vector<Pending>* batch) {
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    cv_.wait(lock, [this] { return stop_ || (!paused_ && !queue_.empty()); });
-    if (queue_.empty()) {
-      if (stop_) return false;  // Drained and shutting down.
-      continue;
+  // A paused service still drains on shutdown (the destructor unpauses).
+  cv_.wait(lock, [this] { return stop_ || (!paused_ && !queue_.empty()); });
+  if (queue_.empty()) return false;  // Stopping and drained.
+  // Work conserving: take what is queued now, never wait for more.
+  size_t n = std::min(queue_.size(), options_.max_batch);
+  batch->clear();
+  batch->reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    batch->push_back(std::move(queue_.front()));
+    queue_.pop_front();
+    if (options_.telemetry) {
+      // Queue wait ends at worker pickup; the batch stage starts here and
+      // runs until the response is set.
+      batch->back().trace.End(obs::RequestStage::kQueue);
+      batch->back().trace.Begin(obs::RequestStage::kBatch);
     }
-    if (paused_ && !stop_) continue;
-    // Work exists: flush once the batch fills or the oldest request has
-    // waited max_delay_ms (shutdown flushes immediately).
-    Clock::duration max_delay = MsToDuration(options_.max_delay_ms);
-    while (!stop_ && !paused_ && queue_.size() < options_.max_batch) {
-      Clock::time_point flush_at = queue_.front().submitted + max_delay;
-      if (Clock::now() >= flush_at) break;
-      cv_.wait_until(lock, flush_at);
-      if (queue_.empty()) break;  // Another worker took everything.
-    }
-    if (queue_.empty()) {
-      if (stop_) return false;
-      continue;
-    }
-    if (paused_ && !stop_) continue;
-    size_t n = std::min(queue_.size(), options_.max_batch);
-    batch->clear();
-    batch->reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      batch->push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      if (options_.telemetry) {
-        // Queue wait ends at worker pickup; the batch stage starts here and
-        // runs until the response is set.
-        batch->back().trace.End(obs::RequestStage::kQueue);
-        batch->back().trace.Begin(obs::RequestStage::kBatch);
-      }
-    }
-    Metrics().queue_depth->Set(static_cast<double>(queue_.size()));
-    return true;
   }
+  Metrics().queue_depth->Set(static_cast<double>(queue_.size()));
+  return true;
 }
 
 void GeoService::ProcessBatch(std::vector<Pending>* batch) {
@@ -718,7 +701,11 @@ void GeoService::ProcessBatch(std::vector<Pending>* batch) {
 
 void GeoService::WorkerLoop() {
   std::vector<Pending> batch;
-  while (NextBatch(&batch)) ProcessBatch(&batch);
+  while (NextBatch(&batch)) {
+    ProcessBatch(&batch);
+    // Every promise of the batch is set: wake whoever renders the answers.
+    if (on_batch_done_) on_batch_done_();
+  }
 }
 
 }  // namespace edge::serve

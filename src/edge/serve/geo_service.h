@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <iosfwd>
 #include <memory>
@@ -28,10 +29,17 @@
 ///
 /// A request is one raw tweet text. The calling thread runs NER, resolves
 /// entities to graph node ids and consults an LRU response cache; on a miss
-/// the request enters a bounded admission queue. Worker threads drain the
-/// queue in micro-batches — a batch flushes when it reaches `max_batch`
-/// requests or the oldest request has waited `max_delay_ms`, whichever comes
-/// first — through the tweet-parallel EdgeModel::PredictBatch path.
+/// the request enters a bounded admission queue. Worker threads are work
+/// conserving: a free worker takes whatever is queued, up to `max_batch`
+/// requests, the moment it is queued, and runs it through the tweet-parallel
+/// EdgeModel::PredictBatch path. Nothing ever waits for a batch to fill —
+/// GCN diffusion is materialised at fit time, so a served tweet is a row
+/// gather plus attention plus the MDN head and batching saves no work;
+/// batches form only from requests that queued while every worker was busy.
+///
+/// An event loop learns that answers are ready from the completion notifier
+/// handed to Create: a worker calls it after fulfilling every promise of a
+/// batch, so the loop can park in poll() instead of polling the futures.
 ///
 /// Degradation instead of failure: requests that would overflow the queue
 /// (backpressure shed) or whose deadline expires while queued answer the
@@ -45,10 +53,8 @@ namespace edge::serve {
 
 /// Tuning knobs for the service. Defaults favour latency on small hosts.
 struct GeoServiceOptions {
-  /// Flush a micro-batch at this many requests.
+  /// Most requests one worker takes off the queue at a time.
   size_t max_batch = 16;
-  /// ... or when the oldest queued request has waited this long.
-  double max_delay_ms = 2.0;
   /// Worker threads draining the queue.
   size_t num_workers = 1;
   /// Admission-queue bound; submissions beyond it shed to the fallback prior.
@@ -185,17 +191,22 @@ struct ServiceStats {
 /// (fulfilling all futures) and joins the workers.
 class GeoService {
  public:
+  /// Called on a worker thread after every promise of a batch is fulfilled
+  /// (an all-expired batch included). It must be thread-safe, cheap and
+  /// outlive the service: typically it signals an event loop's net::Waker.
+  using CompletionNotifier = std::function<void()>;
+
   /// Loads an EDGE-INFERENCE v1 checkpoint; corrupt streams come back as a
   /// Status error (the process keeps running). The gazetteer drives the NER
   /// that maps raw text to entity ids.
-  static Result<std::unique_ptr<GeoService>> Create(std::istream* checkpoint,
-                                                    text::Gazetteer gazetteer,
-                                                    GeoServiceOptions options = {});
+  static Result<std::unique_ptr<GeoService>> Create(
+      std::istream* checkpoint, text::Gazetteer gazetteer,
+      GeoServiceOptions options = {}, CompletionNotifier on_batch_done = nullptr);
 
   /// As above from an already-loaded (or freshly trained) model.
   static Result<std::unique_ptr<GeoService>> Create(
       std::unique_ptr<core::EdgeModel> model, text::Gazetteer gazetteer,
-      GeoServiceOptions options = {});
+      GeoServiceOptions options = {}, CompletionNotifier on_batch_done = nullptr);
 
   ~GeoService();
 
@@ -283,11 +294,11 @@ class GeoService {
   };
 
   GeoService(std::unique_ptr<core::EdgeModel> model, text::Gazetteer gazetteer,
-             const GeoServiceOptions& options);
+             const GeoServiceOptions& options, CompletionNotifier on_batch_done);
 
   void WorkerLoop();
-  /// Blocks until a micro-batch is ready (or the service is stopping and
-  /// drained); returns false to terminate the worker.
+  /// Blocks until work is queued, then takes up to max_batch requests without
+  /// waiting for more; returns false once the service is stopping and drained.
   bool NextBatch(std::vector<Pending>* batch);
   void ProcessBatch(std::vector<Pending>* batch);
   /// Validated-model tail shared by every reload path: thread budget, fresh
@@ -304,6 +315,7 @@ class GeoService {
       std::chrono::steady_clock::time_point submitted);
 
   GeoServiceOptions options_;
+  CompletionNotifier on_batch_done_;
   text::TweetNer ner_;
 
   /// Deterministic request ids: 1, 2, 3... in submission order per instance

@@ -132,14 +132,11 @@ void ServeSession::DrainReady(std::vector<std::string>* out) {
   }
 }
 
-std::string ServeSession::PopFrontBlocking() {
-  std::string line = Render(&in_flight_.front());
-  in_flight_.pop_front();
-  return line;
-}
-
 void ServeSession::DrainAll(std::vector<std::string>* out) {
-  while (!in_flight_.empty()) out->push_back(PopFrontBlocking());
+  while (!in_flight_.empty()) {
+    out->push_back(Render(&in_flight_.front()));
+    in_flight_.pop_front();
+  }
 }
 
 }  // namespace edge::serve

@@ -17,8 +17,8 @@
 /// one service (and its admission queue, cache and model generation).
 ///
 /// The session pipelines: up to max_in_flight requests ride the service's
-/// micro-batch path concurrently while earlier answers render, which is
-/// what lets batches actually form. Control verbs (reload/stats/health) and
+/// batch path concurrently while earlier answers render, so a client that
+/// sends ahead keeps the workers busy. Control verbs (reload/stats/health) and
 /// malformed-line errors are answered as literal lines that keep their slot
 /// in the output order.
 
@@ -26,8 +26,7 @@ namespace edge::serve {
 
 struct ServeSessionOptions {
   /// Responses kept in flight before the stream should stop reading
-  /// (callers gate on AtCapacity()). A few batches' worth keeps the
-  /// micro-batcher fed.
+  /// (callers gate on AtCapacity()): a bound on per-stream buffering.
   size_t max_in_flight = 64;
   /// False renders canonical lines (no wall-clock latency_ms / telemetry):
   /// the form that is a deterministic function of (model, request stream),
@@ -51,10 +50,6 @@ class ServeSession {
 
   /// Renders every ready response in order into *out (non-blocking).
   void DrainReady(std::vector<std::string>* out);
-
-  /// Blocks until the oldest response is ready and renders it — the pipe
-  /// path's capacity valve.
-  std::string PopFrontBlocking();
 
   /// Blocks until everything in flight has rendered (shutdown drain).
   void DrainAll(std::vector<std::string>* out);

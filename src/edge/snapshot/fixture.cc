@@ -21,7 +21,6 @@ DemoSnapshotOptions::DemoSnapshotOptions() {
   config.entity2vec.epochs = 25;
 
   serve.max_batch = 8;
-  serve.max_delay_ms = 1.0;
   serve.num_workers = 2;
   // Small on purpose: a 100x spike event must overflow it so shedding shows
   // up in the canonical stream.

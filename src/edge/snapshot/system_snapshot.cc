@@ -554,9 +554,8 @@ Result<graph::EntityGraph> ParseEntityGraph(const std::string& content) {
 std::string SerializeServeOptions(const serve::GeoServiceOptions& options) {
   std::ostringstream os;
   os.precision(17);
-  os << "EDGE-SERVE-OPTIONS v1\n";
+  os << "EDGE-SERVE-OPTIONS v2\n";
   os << "max_batch " << options.max_batch << "\n";
-  os << "max_delay_ms " << options.max_delay_ms << "\n";
   os << "num_workers " << options.num_workers << "\n";
   os << "queue_capacity " << options.queue_capacity << "\n";
   os << "cache_capacity " << options.cache_capacity << "\n";
@@ -568,7 +567,10 @@ std::string SerializeServeOptions(const serve::GeoServiceOptions& options) {
 Result<serve::GeoServiceOptions> ParseServeOptions(const std::string& content) {
   LineReader reader(content);
   std::string line;
-  if (!reader.Next(&line) || line != "EDGE-SERVE-OPTIONS v1") {
+  // v1 (snapshots saved before serving became work conserving) also carries
+  // the batch-timer line "max_delay_ms <ms>": validated, then dropped.
+  const bool v1 = reader.Next(&line) && line == "EDGE-SERVE-OPTIONS v1";
+  if (!v1 && line != "EDGE-SERVE-OPTIONS v2") {
     return Status::InvalidArgument("bad serve options section header");
   }
   serve::GeoServiceOptions options;
@@ -589,7 +591,13 @@ Result<serve::GeoServiceOptions> ParseServeOptions(const std::string& content) {
     return ParseTaggedDoubles(line, tag, {out});
   };
   Status status = read_size("max_batch", &options.max_batch);
-  if (status.ok()) status = read_double("max_delay_ms", &options.max_delay_ms);
+  if (status.ok() && v1) {
+    double max_delay_ms = 0.0;
+    status = read_double("max_delay_ms", &max_delay_ms);
+    if (status.ok() && max_delay_ms < 0.0) {
+      status = Status::InvalidArgument("max_delay_ms must be >= 0");
+    }
+  }
   if (status.ok()) status = read_size("num_workers", &options.num_workers);
   if (status.ok()) status = read_size("queue_capacity", &options.queue_capacity);
   if (status.ok()) status = read_size("cache_capacity", &options.cache_capacity);

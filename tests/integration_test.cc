@@ -9,8 +9,11 @@
 /// world the generators re-derive from is the one that survived
 /// serialization, not an inline re-specification.
 
+#include <unistd.h>
+
 #include <cmath>
 #include <filesystem>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -49,13 +52,17 @@ SharedFixture& Fixture() {
     EDGE_CHECK(built.ok()) << built.status().ToString();
     f->artifacts = std::move(built).value();
 
-    std::string dir = ::testing::TempDir() + "integration_snapshot_fixture";
+    // One directory per process: ctest runs each test case as its own
+    // process, several at once, and each builds this fixture.
+    std::string dir = ::testing::TempDir() + "integration_snapshot_fixture_" +
+                      std::to_string(::getpid());
     std::filesystem::remove_all(dir);
     Status saved = snapshot::SaveSystemSnapshot(f->artifacts.snapshot, dir);
     EDGE_CHECK(saved.ok()) << saved.ToString();
     Result<snapshot::SystemSnapshot> loaded = snapshot::LoadSystemSnapshot(dir);
     EDGE_CHECK(loaded.ok()) << loaded.status().ToString();
     f->loaded = std::move(loaded).value();
+    std::filesystem::remove_all(dir);
     return f;
   }();
   return *fixture;

@@ -1,5 +1,6 @@
 #include "edge/net/line_framer.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -7,6 +8,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -425,6 +427,57 @@ TEST_F(LineServerTest, SendToDeadPeerFiresOnCloseSynchronously) {
   }
   EXPECT_TRUE(closed_during_send || !server_->IsOpen(id));
   EXPECT_EQ(closed_, 1);
+}
+
+// --- Waker: how worker threads end the loop's park in poll() ---------------
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// True while the waker still holds an undrained wake.
+bool WakePending(const Waker& waker) {
+  pollfd pfd{waker.fd(), POLLIN, 0};
+  return ::poll(&pfd, 1, 0) == 1;
+}
+
+TEST_F(LineServerTest, WakeFromAnotherThreadEndsALongRunOnce) {
+  Result<std::unique_ptr<Waker>> waker = Waker::Create();
+  ASSERT_TRUE(waker.ok()) << waker.status().ToString();
+  LineServer::Options options;
+  options.waker = waker.value().get();
+  StartEcho(options);
+
+  auto start = std::chrono::steady_clock::now();
+  std::thread worker([&waker] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    waker.value()->Wake();
+  });
+  server_->RunOnce(/*timeout_ms=*/20000);
+  double elapsed_ms = MsSince(start);
+  worker.join();
+  EXPECT_LT(elapsed_ms, 10000.0) << "RunOnce slept through the wake";
+  EXPECT_FALSE(WakePending(*waker.value())) << "RunOnce left the wake undrained";
+}
+
+TEST_F(LineServerTest, WakeBeforeRunOnceIsNotLost) {
+  Result<std::unique_ptr<Waker>> waker = Waker::Create();
+  ASSERT_TRUE(waker.ok()) << waker.status().ToString();
+  LineServer::Options options;
+  options.waker = waker.value().get();
+  StartEcho(options);
+
+  // A batch that completes while the loop is busy elsewhere: its wakes
+  // coalesce and stay pending until the next RunOnce drains them.
+  waker.value()->Wake();
+  waker.value()->Wake();
+  EXPECT_TRUE(WakePending(*waker.value()));
+  auto start = std::chrono::steady_clock::now();
+  server_->RunOnce(/*timeout_ms=*/20000);
+  EXPECT_LT(MsSince(start), 10000.0) << "a wake before RunOnce was lost";
+  EXPECT_FALSE(WakePending(*waker.value()));
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -157,9 +159,6 @@ TEST_F(GeoServiceTest, OptionsValidation) {
   options.queue_capacity = 0;
   EXPECT_FALSE(options.Validate().ok());
   options = GeoServiceOptions();
-  options.max_delay_ms = -1.0;
-  EXPECT_FALSE(options.Validate().ok());
-  options = GeoServiceOptions();
   options.predict_threads = -2;
   EXPECT_FALSE(options.Validate().ok());
 
@@ -186,7 +185,6 @@ TEST_F(GeoServiceTest, ServedMatchesSerialAtEveryBudgetAndBatch) {
       for (int predict_threads : {1, 2, 4}) {
         GeoServiceOptions options;
         options.max_batch = max_batch;
-        options.max_delay_ms = 0.5;
         options.num_workers = workers;
         options.cache_capacity = 0;
         options.predict_threads = predict_threads;
@@ -216,14 +214,16 @@ TEST_F(GeoServiceTest, ServedMatchesSerialAtEveryBudgetAndBatch) {
 
 TEST_F(GeoServiceTest, DestructorDrainsQueuedRequests) {
   GeoServiceOptions options;
-  options.max_batch = 64;
-  options.max_delay_ms = 10000.0;  // Only shutdown can flush this batch.
+  options.max_batch = 4;
   options.cache_capacity = 0;
   std::unique_ptr<GeoService> service = MakeService(options);
+  // Frozen workers: only shutdown can serve these, in several batches.
+  service->PauseWorkersForTest();
   std::vector<std::future<ServeResponse>> futures;
   for (size_t i = 0; i < 10; ++i) {
     futures.push_back(service->SubmitAsync((*texts_)[i]));
   }
+  EXPECT_EQ(service->queue_depth(), 10u);
   service.reset();  // Must fulfill every future, not abandon them.
   for (auto& future : futures) {
     ServeResponse response = future.get();
@@ -231,10 +231,87 @@ TEST_F(GeoServiceTest, DestructorDrainsQueuedRequests) {
   }
 }
 
-TEST_F(GeoServiceTest, DeadlineExpiredRequestsDegradeToPrior) {
+/// The notifier side of an event loop: counts calls and checks, at each
+/// one, that every watched future is already fulfilled.
+struct NotifyProbe {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::future<ServeResponse>> watched;
+  int calls = 0;
+  bool all_ready_at_call = true;
+
+  void OnBatchDone() {
+    std::lock_guard<std::mutex> lock(mu);
+    for (const auto& future : watched) {
+      if (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+        all_ready_at_call = false;
+      }
+    }
+    ++calls;
+    cv.notify_all();
+  }
+
+  bool WaitForCalls(int n) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(60), [&] { return calls >= n; });
+  }
+};
+
+TEST_F(GeoServiceTest, CompletionNotifierFiresAfterServedAndExpiredBatches) {
   GeoServiceOptions options;
   options.max_batch = 64;
-  options.max_delay_ms = 50.0;  // Both requests ride one flushed batch.
+  options.cache_capacity = 0;
+  NotifyProbe probe;
+  std::stringstream stream(*checkpoint_);
+  auto created = GeoService::Create(&stream, *gazetteer_, options,
+                                    [&probe] { probe.OnBatchDone(); });
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<GeoService> service = std::move(created).value();
+
+  // A served batch: the worker takes all five queued requests at once.
+  service->PauseWorkersForTest();
+  {
+    std::lock_guard<std::mutex> lock(probe.mu);
+    for (size_t i = 0; i < 5; ++i) {
+      probe.watched.push_back(service->SubmitAsync((*texts_)[i]));
+    }
+  }
+  service->ResumeWorkers();
+  ASSERT_TRUE(probe.WaitForCalls(1));
+
+  // An all-expired batch runs no model work but must notify all the same.
+  service->PauseWorkersForTest();
+  {
+    std::lock_guard<std::mutex> lock(probe.mu);
+    EXPECT_EQ(probe.calls, 1);
+    EXPECT_TRUE(probe.all_ready_at_call);
+    for (auto& future : probe.watched) {
+      ServeResponse response = future.get();
+      EXPECT_FALSE(response.degraded);
+      EXPECT_EQ(response.telemetry.batch_size, 5u);
+    }
+    probe.watched.clear();
+    for (size_t i = 0; i < 3; ++i) {
+      probe.watched.push_back(
+          service->SubmitAsync((*texts_)[i], /*deadline_ms=*/0.001));
+    }
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  service->ResumeWorkers();
+  ASSERT_TRUE(probe.WaitForCalls(2));
+  std::lock_guard<std::mutex> lock(probe.mu);
+  EXPECT_EQ(probe.calls, 2);
+  EXPECT_TRUE(probe.all_ready_at_call);
+  for (auto& future : probe.watched) {
+    ServeResponse response = future.get();
+    EXPECT_TRUE(response.degraded);
+    EXPECT_EQ(response.degrade_reason, DegradeReason::kDeadline);
+  }
+}
+
+TEST_F(GeoServiceTest, DeadlineExpiredRequestsDegradeToPrior) {
+  GeoServiceOptions options;
+  options.max_batch = 64;  // Both requests ride one batch.
   options.cache_capacity = 0;
   std::unique_ptr<GeoService> service = MakeService(options);
 
@@ -261,7 +338,6 @@ TEST_F(GeoServiceTest, BackpressureShedsToPrior) {
   GeoServiceOptions options;
   options.queue_capacity = 2;
   options.max_batch = 64;
-  options.max_delay_ms = 20.0;
   options.cache_capacity = 0;
   std::unique_ptr<GeoService> service = MakeService(options);
 
@@ -286,7 +362,6 @@ TEST_F(GeoServiceTest, BackpressureShedsToPrior) {
 TEST_F(GeoServiceTest, CacheReturnsIdenticalResponses) {
   GeoServiceOptions options;
   options.cache_capacity = 64;
-  options.max_delay_ms = 0.5;
   std::unique_ptr<GeoService> service = MakeService(options);
 
   // Find a text with at least one known entity so the key is non-trivial.
@@ -319,7 +394,6 @@ TEST_F(GeoServiceTest, CacheReturnsIdenticalResponses) {
 TEST_F(GeoServiceTest, CacheEvictsLeastRecentlyUsed) {
   GeoServiceOptions options;
   options.cache_capacity = 1;
-  options.max_delay_ms = 0.5;
   std::unique_ptr<GeoService> service = MakeService(options);
 
   // Two texts with distinct non-empty entity-id keys.
@@ -349,7 +423,6 @@ TEST_F(GeoServiceTest, CacheEvictsLeastRecentlyUsed) {
 TEST_F(GeoServiceTest, ConcurrentClientStress) {
   GeoServiceOptions options;
   options.max_batch = 8;
-  options.max_delay_ms = 1.0;
   options.num_workers = 2;
   options.cache_capacity = 32;
   std::unique_ptr<GeoService> service = MakeService(options);
@@ -403,7 +476,6 @@ TEST_F(GeoServiceTest, OptionsValidationRejectsImplausibleCaps) {
 TEST_F(GeoServiceTest, HotReloadSwapsModelUnderConcurrentLoad) {
   GeoServiceOptions options;
   options.max_batch = 8;
-  options.max_delay_ms = 1.0;
   options.num_workers = 2;
   options.cache_capacity = 32;
   std::unique_ptr<GeoService> service = MakeService(options);
@@ -451,7 +523,6 @@ TEST_F(GeoServiceTest, HotReloadSwapsModelUnderConcurrentLoad) {
 // the old model keeps serving unchanged.
 TEST_F(GeoServiceTest, HotReloadCorruptCheckpointRollsBack) {
   GeoServiceOptions options;
-  options.max_delay_ms = 0.5;
   options.cache_capacity = 0;
   std::unique_ptr<GeoService> service = MakeService(options);
   auto old_model = service->model();
@@ -478,7 +549,6 @@ TEST_F(GeoServiceTest, ReloadFromFileRetriesTransientReadFaults) {
     ASSERT_TRUE(out.good());
   }
   GeoServiceOptions options;
-  options.max_delay_ms = 0.5;
   std::unique_ptr<GeoService> service = MakeService(options);
   ASSERT_TRUE(fault::Configure("io.checkpoint.read=error,times=2"));
   Status status = service->ReloadFromFile(path);
@@ -496,7 +566,6 @@ TEST_F(GeoServiceTest, ReloadFromFileRetriesTransientReadFaults) {
 // never pairs a prediction with the wrong projection across a swap.
 TEST_F(GeoServiceTest, ResponsesCarryTheProducingModel) {
   GeoServiceOptions options;
-  options.max_delay_ms = 0.5;
   options.cache_capacity = 16;
   std::unique_ptr<GeoService> service = MakeService(options);
   ServeResponse response = service->Predict((*texts_)[0]);
@@ -542,7 +611,6 @@ TEST_F(GeoServiceTest, BinaryReloadMatchesTextReloadBitwise) {
 
   for (size_t workers : {size_t{1}, size_t{4}}) {
     GeoServiceOptions options;
-    options.max_delay_ms = 0.5;
     options.num_workers = workers;
     options.cache_capacity = 0;
     // kFast is the O(1) map-and-swap path; parity must hold there too.
@@ -570,7 +638,6 @@ TEST_F(GeoServiceTest, ResponsesCarryProducingModelAcrossBinaryReload) {
   fault::Disarm();
   std::string bin_path = WriteBinaryStore(*checkpoint2_, "binary_inflight.bin");
   GeoServiceOptions options;
-  options.max_delay_ms = 0.5;
   options.cache_capacity = 16;
   options.model_store_verify = core::StoreVerify::kFast;
   std::unique_ptr<GeoService> service = MakeService(options);
@@ -607,7 +674,6 @@ TEST_F(GeoServiceTest, BinaryReloadCorruptStoreRollsBack) {
     out.close();
 
     GeoServiceOptions options;
-    options.max_delay_ms = 0.5;
     options.cache_capacity = 0;
     std::unique_ptr<GeoService> service = MakeService(options);
     core::EdgePrediction before = service->Predict((*texts_)[0]).prediction;
@@ -625,7 +691,6 @@ TEST_F(GeoServiceTest, CacheServesNewModelAfterBinaryReload) {
   fault::Disarm();
   std::string bin_path = WriteBinaryStore(*checkpoint2_, "binary_cachegen.bin");
   GeoServiceOptions options;
-  options.max_delay_ms = 0.5;
   options.cache_capacity = 64;
   options.model_store_verify = core::StoreVerify::kFast;
   std::unique_ptr<GeoService> service = MakeService(options);
@@ -653,7 +718,6 @@ TEST_F(GeoServiceTest, RequestIdsAreUniqueAndStableAcrossWorkerBudgets) {
   for (size_t workers : {1, 4}) {
     GeoServiceOptions options;
     options.max_batch = 4;
-    options.max_delay_ms = 0.5;
     options.num_workers = workers;
     options.cache_capacity = 0;
     std::unique_ptr<GeoService> service = MakeService(options);
@@ -676,7 +740,6 @@ TEST_F(GeoServiceTest, RequestIdsAreUniqueAndStableAcrossWorkerBudgets) {
 
 TEST_F(GeoServiceTest, TelemetryWaterfallCoversTheLifecycle) {
   GeoServiceOptions options;
-  options.max_delay_ms = 0.5;
   options.cache_capacity = 64;
   std::unique_ptr<GeoService> service = MakeService(options);
 
@@ -716,7 +779,6 @@ TEST_F(GeoServiceTest, TelemetryWaterfallCoversTheLifecycle) {
 
 TEST_F(GeoServiceTest, TelemetryOffMeansNoIdsAndNoJsonKey) {
   GeoServiceOptions options;
-  options.max_delay_ms = 0.5;
   options.telemetry = false;
   std::unique_ptr<GeoService> service = MakeService(options);
   ServeResponse response = service->Predict((*texts_)[0]);
@@ -737,7 +799,6 @@ TEST_F(GeoServiceTest, WindowedP99ReflectsInjectedBatchLatency) {
   obs::Registry::Global().ResetValuesForTest();
   fault::Disarm();
   GeoServiceOptions options;
-  options.max_delay_ms = 0.5;
   options.cache_capacity = 0;
   std::unique_ptr<GeoService> service = MakeService(options);
 
@@ -760,7 +821,6 @@ TEST_F(GeoServiceTest, SloAvailabilityBurnTripsUnderShedStorm) {
   GeoServiceOptions options;
   options.queue_capacity = 2;
   options.max_batch = 64;
-  options.max_delay_ms = 20.0;
   options.cache_capacity = 0;
   std::unique_ptr<GeoService> service = MakeService(options);
 
@@ -800,7 +860,6 @@ TEST_F(GeoServiceTest, SloAvailabilityBurnTripsUnderShedStorm) {
 
 TEST_F(GeoServiceTest, StatsAndHealthSnapshotsAndJson) {
   GeoServiceOptions options;
-  options.max_delay_ms = 0.5;
   options.cache_capacity = 16;
   options.num_workers = 2;
   std::unique_ptr<GeoService> service = MakeService(options);
@@ -1020,7 +1079,6 @@ TEST(JsonCodecTest, RejectsEmptyAndTrailingValues) {
 // input order, with control verbs and malformed lines holding their slots.
 TEST_F(GeoServiceTest, ServeSessionAnswersInOrder) {
   GeoServiceOptions options;
-  options.max_delay_ms = 0.5;
   std::unique_ptr<GeoService> service = MakeService(options);
   ServeSessionOptions session_options;
   session_options.max_in_flight = 8;
@@ -1050,7 +1108,6 @@ TEST_F(GeoServiceTest, ServeSessionAnswersInOrder) {
 
 TEST_F(GeoServiceTest, ResponseJsonIsWellFormedAndEchoesId) {
   GeoServiceOptions options;
-  options.max_delay_ms = 0.5;
   std::unique_ptr<GeoService> service = MakeService(options);
   ServeResponse response = service->Predict((*texts_)[0]);
   std::string line = ResponseToJsonLine(response, *service->model(), "req-9");

@@ -98,18 +98,49 @@ TEST(SystemSnapshotTest, EntityGraphSectionRoundTripsWithEdgeWeights) {
 TEST(SystemSnapshotTest, ServeOptionsSectionRoundTrips) {
   serve::GeoServiceOptions options;
   options.max_batch = 8;
-  options.max_delay_ms = 1.25;
   options.num_workers = 3;
   options.queue_capacity = 64;
   options.cache_capacity = 128;
   options.default_deadline_ms = 17.5;
   options.predict_threads = 2;
   std::string serialized = SerializeServeOptions(options);
+  EXPECT_EQ(serialized.rfind("EDGE-SERVE-OPTIONS v2\nmax_batch 8\nnum_workers 3\n", 0),
+            0u)
+      << serialized;
   Result<serve::GeoServiceOptions> parsed = ParseServeOptions(serialized);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(serialized, SerializeServeOptions(parsed.value()));
   EXPECT_EQ(parsed.value().num_workers, 3u);
   EXPECT_EQ(parsed.value().predict_threads, 2);
+}
+
+TEST(SystemSnapshotTest, ServeOptionsV1SectionStillParses) {
+  // Snapshots saved before serving became work conserving carry the batch
+  // timer's max_delay_ms line: it is validated, then dropped.
+  const std::string v1 =
+      "EDGE-SERVE-OPTIONS v1\nmax_batch 8\nmax_delay_ms 1\nnum_workers "
+      "2\nqueue_capacity 64\ncache_capacity 256\ndefault_deadline_ms "
+      "0\npredict_threads 1\n";
+  Result<serve::GeoServiceOptions> parsed = ParseServeOptions(v1);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().max_batch, 8u);
+  EXPECT_EQ(parsed.value().num_workers, 2u);
+  EXPECT_EQ(parsed.value().queue_capacity, 64u);
+  EXPECT_EQ(parsed.value().cache_capacity, 256u);
+  // Re-saving writes v2, which has no timer line.
+  EXPECT_EQ(SerializeServeOptions(parsed.value()).find("max_delay_ms"),
+            std::string::npos);
+
+  std::string negative = v1;
+  negative.replace(negative.find("max_delay_ms 1"), 14, "max_delay_ms -1");
+  EXPECT_FALSE(ParseServeOptions(negative).ok());
+  std::string missing = v1;
+  missing.erase(missing.find("max_delay_ms 1\n"), 15);
+  EXPECT_FALSE(ParseServeOptions(missing).ok());
+  // v2 has no such line: a v2 header over a v1 body is rejected.
+  std::string mislabelled = v1;
+  mislabelled.replace(0, 21, "EDGE-SERVE-OPTIONS v2");
+  EXPECT_FALSE(ParseServeOptions(mislabelled).ok());
 }
 
 // --- Full save/load cycle ------------------------------------------------

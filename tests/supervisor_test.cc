@@ -3,6 +3,10 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <csignal>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -314,6 +318,55 @@ TEST(ProcessTest, SignalDeathReportsNegativeSignal) {
     ::usleep(2000);
   }
   EXPECT_EQ(code, -SIGKILL);
+}
+
+/// True while `pid` runs. A killed orphan stays a zombie until its new
+/// parent reaps it, and kill(pid, 0) still succeeds on a zombie, so the
+/// state letter in /proc/<pid>/stat decides.
+bool ProcessRunning(pid_t pid) {
+  if (::kill(pid, 0) != 0) return errno != ESRCH;
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return false;
+  size_t paren = line.rfind(')');  // The command name may contain spaces.
+  return paren == std::string::npos || paren + 2 >= line.size() ||
+         line[paren + 2] != 'Z';
+}
+
+TEST(ProcessTest, TerminateKillsTheWholeProcessGroup) {
+  // A wrapper shell whose child is a separate process (the shell stays to
+  // wait, so it cannot exec into it): a fleet replica launched through a
+  // script. Killing only the wrapper would orphan the replica.
+  std::string pid_file = (std::filesystem::temp_directory_path() /
+                          ("edge-pgid-" + std::to_string(::getpid())))
+                             .string();
+  std::filesystem::remove(pid_file);
+  Result<int> pid = SpawnProcess(
+      {"/bin/sh", "-c", "sleep 30 & echo $! > " + pid_file + "; wait"});
+  ASSERT_TRUE(pid.ok()) << pid.status().ToString();
+  pid_t grandchild = 0;
+  for (int spins = 0; spins < 1000 && grandchild <= 0; ++spins) {
+    std::ifstream in(pid_file);
+    if (!(in >> grandchild)) grandchild = 0;
+    if (grandchild <= 0) ::usleep(2000);
+  }
+  ASSERT_GT(grandchild, 0) << "wrapper never recorded its child's pid";
+
+  TerminateProcess(pid.value(), /*force=*/true);
+  int code = 0;
+  for (int spins = 0; spins < 1000 && !ReapProcess(pid.value(), &code);
+       ++spins) {
+    ::usleep(2000);
+  }
+  EXPECT_EQ(code, -SIGKILL);
+  bool survived = ProcessRunning(grandchild);
+  for (int spins = 0; spins < 500 && survived; ++spins) {
+    ::usleep(2000);
+    survived = ProcessRunning(grandchild);
+  }
+  EXPECT_FALSE(survived) << "grandchild " << grandchild << " outlived the kill";
+  if (survived) ::kill(grandchild, SIGKILL);  // Never leak it past the test.
+  std::filesystem::remove(pid_file);
 }
 
 TEST(ProcessTest, ExecFailureExits127) {

@@ -1,5 +1,6 @@
 #include "tool_args.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,6 +72,35 @@ TEST(ToolArgsTest, OkStaysTrueWhenOnlyValidFlagsAreRead) {
   args.GetDouble("delay", 1.0);
   args.GetInt("absent", 10);
   EXPECT_TRUE(args.ok());
+}
+
+TEST(ToolArgsTest, UnreadListsFlagsNoAccessorConsumed) {
+  // A stale --max-delay-ms or a typo like --wrokers must not be ignored.
+  Args args = MakeArgs({"--workers", "2", "--max-delay-ms", "1", "--wrokers",
+                        "3", "--listen", "0", "--help"});
+  args.GetInt("workers", 1);
+  EXPECT_EQ(args.Unread(), (std::vector<std::string>{"help", "listen",
+                                                     "max-delay-ms", "wrokers"}));
+  // Every accessor counts as a read, and so does a lookup of an absent flag
+  // or one whose value failed to parse.
+  args.Has("help");
+  args.Get("listen");
+  args.GetDouble("max-delay-ms", 2.0);
+  args.GetInt("wrokers", 1);
+  args.GetInt("absent", 1);
+  EXPECT_TRUE(args.Unread().empty());
+  EXPECT_TRUE(NoUnreadFlags(args));
+
+  Args typo = MakeArgs({"--wrokers", "x"});
+  EXPECT_FALSE(NoUnreadFlags(typo));
+  EXPECT_TRUE(typo.ok());  // Unread flags are reported, not a parse error.
+}
+
+TEST(ToolArgsTest, ObservabilitySetupReadsMetricsOutUpFront) {
+  // --metrics-out is only written at exit, yet must count as known before.
+  Args args = MakeArgs({"--metrics-out", "m.json"});
+  ASSERT_TRUE(SetupObservability(args));
+  EXPECT_TRUE(args.Unread().empty());
 }
 
 }  // namespace

@@ -23,12 +23,11 @@
 ///   --canonical true|false  omit wall-clock fields (latency_ms, telemetry)
 ///                           from responses so output is a deterministic
 ///                           function of the request stream (default false)
-///   --max-line-bytes N      reject request lines longer than this (TCP
-///                           framing; default 1 MiB)
+///   --max-line-bytes N      reject request lines longer than this (both
+///                           modes; default 1 MiB)
 ///   --store-verify full|fast  binary-store validation depth (default full;
 ///                           fast makes binary hot reload O(1) map-and-swap)
-///   --max-batch N           micro-batch flush size            (default 16)
-///   --max-delay-ms D        micro-batch flush age             (default 2)
+///   --max-batch N           most requests per worker batch    (default 16)
 ///   --workers N             batch worker threads              (default 1)
 ///   --queue-capacity N      admission queue bound             (default 1024)
 ///   --cache-capacity N      LRU response cache entries, 0=off (default 4096)
@@ -41,11 +40,17 @@
 ///   --metrics-export-every S  export period seconds (default 10; the
 ///                             EDGE_METRICS_EXPORT_EVERY env var wins)
 /// plus the shared observability flags (--log-level, --metrics-out,
-/// --trace-out).
+/// --trace-out). Any other flag exits 2 with usage: a typo or a removed
+/// option is never silently ignored.
 ///
 /// Responses stream in input order per stream (the stdin pipe, or each TCP
-/// connection); up to 4 x max-batch requests per stream are kept in flight
-/// so micro-batches actually form while earlier answers print.
+/// connection); up to 4 x max-batch requests per stream are kept in flight,
+/// and a stream at that cap is not read until answers drain. Serving is
+/// work conserving: a free worker takes whatever is queued at once (there is
+/// no batch timer), and a worker that finishes a batch wakes the event loop,
+/// which parks in poll() and writes the answers the moment they exist. In
+/// pipe mode that means a co-process client can write one line and read its
+/// answer without closing stdin.
 ///
 /// Control verbs (DESIGN.md §14), answered in input order like any request:
 ///   - {"stats": true}: sliding-window stats + SLO burn rates.
@@ -63,9 +68,13 @@
 ///   - SIGHUP: hot-reload the model from the --model path; serving continues
 ///     on the old model if the new checkpoint is rejected.
 
+#include <poll.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <set>
@@ -86,13 +95,29 @@ using namespace edge;
 
 volatile std::sig_atomic_t g_stop = 0;
 volatile std::sig_atomic_t g_reload = 0;
+/// The serving loop's waker while it serves; a lock-free atomic, since a
+/// handler may run on any thread.
+std::atomic<const net::Waker*> g_waker{nullptr};
 
-void HandleStop(int) { g_stop = 1; }
-void HandleReload(int) { g_reload = 1; }
+/// A signal that lands between the loop's flag check and its poll() would
+/// otherwise sleep until the next event: waking the loop closes that window.
+void WakeLoop() {
+  int saved_errno = errno;
+  if (const net::Waker* waker = g_waker.load()) waker->Wake();
+  errno = saved_errno;
+}
 
-/// Installs handlers WITHOUT SA_RESTART: a signal must interrupt the
-/// blocking stdin read (EINTR -> getline fails) and the poll() wait so the
-/// drain runs promptly instead of waiting for the next input line.
+void HandleStop(int) {
+  g_stop = 1;
+  WakeLoop();
+}
+void HandleReload(int) {
+  g_reload = 1;
+  WakeLoop();
+}
+
+/// Installs handlers WITHOUT SA_RESTART, so a blocked read or write returns
+/// EINTR and the flags are checked promptly.
 void InstallSignalHandlers() {
 #ifndef _WIN32
   struct sigaction stop_action = {};
@@ -117,7 +142,7 @@ int Usage() {
                "usage: edge_serve --model m.edge --gazetteer g.tsv\n"
                "  [--listen PORT] [--host H] [--canonical true|false]\n"
                "  [--max-line-bytes N]\n"
-               "  [--max-batch N] [--max-delay-ms D] [--workers N]\n"
+               "  [--max-batch N] [--workers N]\n"
                "  [--queue-capacity N] [--cache-capacity N] [--deadline-ms D]\n"
                "  [--predict-threads N] [--telemetry true|false]\n"
                "  [--store-verify full|fast]\n"
@@ -143,52 +168,75 @@ void MaybeSignalReload(serve::GeoService* geo, const std::string& model_path) {
                status.ok() ? "ok" : status.ToString().c_str());
 }
 
-/// Classic pipe mode: stdin lines in, stdout lines out.
+/// Pipe mode: stdin lines in, stdout lines out. stdin is framed like a
+/// socket (the same LineFramer and --max-line-bytes) and polled beside the
+/// waker, so each answer is written and flushed as soon as it is ready.
 int ServeStdio(serve::GeoService* geo, const std::string& model_path,
-               const serve::ServeSessionOptions& session_options) {
+               const serve::ServeSessionOptions& session_options,
+               const net::Waker& waker, size_t max_line_bytes) {
   serve::ServeSession session(geo, session_options);
-  auto emit = [](std::vector<std::string>* lines) {
-    for (const std::string& out : *lines) {
+  net::LineFramer framer(max_line_bytes);
+  std::vector<std::string> ready;
+  auto emit = [&ready] {
+    for (const std::string& out : ready) {
       std::fwrite(out.data(), 1, out.size(), stdout);
       std::fputc('\n', stdout);
     }
-    lines->clear();
+    ready.clear();
+    std::fflush(stdout);
   };
 
-  std::vector<std::string> ready;
-  std::string line;
+  bool eof = false;
   while (!g_stop) {
     MaybeSignalReload(geo, model_path);
-    if (!std::getline(std::cin, line)) {
-      if (g_stop || std::cin.eof()) break;
-      if (g_reload) {
-        // SIGHUP interrupted the blocking read (no SA_RESTART); retry.
-        std::cin.clear();
-        continue;
+    // Feed framed lines while the pipelining window has room and write what
+    // is ready (cache hits and control verbs answer at once, freeing room).
+    for (;;) {
+      std::string line;
+      while (!session.AtCapacity()) {
+        net::LineFramer::Event event = framer.Next(&line);
+        if (event == net::LineFramer::Event::kNeedMore) break;
+        if (event == net::LineFramer::Event::kLine) {
+          session.HandleLine(line);
+        } else {
+          session.HandleOversized();
+        }
       }
-      break;
+      session.DrainReady(&ready);
+      if (ready.empty()) break;
+      emit();
     }
-    session.HandleLine(line);
-    // Answers stream out as soon as they are ready (in order); the capacity
-    // valve blocks the reader when a full pipelining window is in flight.
-    session.DrainReady(&ready);
-    emit(&ready);
-    while (session.AtCapacity()) {
-      std::string out = session.PopFrontBlocking();
-      std::fwrite(out.data(), 1, out.size(), stdout);
-      std::fputc('\n', stdout);
+    if (eof && session.in_flight() == 0) break;
+
+    // Park until a batch completes, a signal arrives or — while the window
+    // has room — stdin has bytes. A negative fd drops stdin from the set.
+    pollfd fds[2] = {
+        {waker.fd(), POLLIN, 0},
+        {eof || session.AtCapacity() ? -1 : STDIN_FILENO, POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0) continue;  // EINTR: re-check the flags.
+    if (fds[0].revents != 0) waker.Drain();
+    if (fds[1].revents == 0) continue;
+    char buf[64 << 10];
+    ssize_t n = ::read(STDIN_FILENO, buf, sizeof(buf));
+    if (n > 0) {
+      framer.Append(buf, static_cast<size_t>(n));
+    } else if (n == 0 || (errno != EINTR && errno != EAGAIN)) {
+      eof = true;
+      // As with getline, an unterminated last line is still a request.
+      if (framer.buffered() > 0) framer.Append("\n", 1);
     }
   }
   // Graceful drain: every accepted request still gets its response line,
   // whether we stopped on EOF or on SIGINT/SIGTERM.
   session.DrainAll(&ready);
-  emit(&ready);
-  std::fflush(stdout);
+  emit();
   return session.bad_lines() == 0 ? 0 : 1;
 }
 
 /// TCP mode: a poll event loop fans N concurrent connections into the one
-/// GeoService; each connection is an independent ordered LDJSON stream.
+/// GeoService; each connection is an independent ordered LDJSON stream. The
+/// loop parks in poll() until a socket is ready or server_options.waker
+/// announces a finished batch.
 int ServeTcp(serve::GeoService* geo, const std::string& model_path,
              const serve::ServeSessionOptions& session_options,
              const net::LineServer::Options& server_options) {
@@ -234,16 +282,7 @@ int ServeTcp(serve::GeoService* geo, const std::string& model_path,
   std::vector<std::string> ready;
   while (!g_stop) {
     MaybeSignalReload(geo, model_path);
-    // Micro-batch futures complete on worker threads; poll briefly while
-    // responses are pending so they flush promptly, park longer when idle.
-    bool pending = false;
-    for (const auto& [id, session] : sessions) {
-      if (session.in_flight() > 0) {
-        pending = true;
-        break;
-      }
-    }
-    server->RunOnce(pending ? 1 : 200);
+    server->RunOnce(/*timeout_ms=*/-1);
 
     // Send() and ResumeReading() can synchronously tear a connection down
     // (write error -> on_close -> sessions.erase), so iterate a snapshot of
@@ -315,7 +354,6 @@ int main(int argc, char** argv) {
   serve::GeoServiceOptions options;
   options.max_batch = static_cast<size_t>(
       args.GetInt("max-batch", static_cast<long>(options.max_batch)));
-  options.max_delay_ms = args.GetDouble("max-delay-ms", options.max_delay_ms);
   options.num_workers = static_cast<size_t>(
       args.GetInt("workers", static_cast<long>(options.num_workers)));
   options.queue_capacity = static_cast<size_t>(
@@ -356,6 +394,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--listen: port out of range\n");
     return Usage();
   }
+  std::string host = args.Get("host", "127.0.0.1");
   long max_line_bytes = args.GetInt(
       "max-line-bytes", static_cast<long>(net::LineFramer::kDefaultMaxLineBytes));
   if (max_line_bytes < 64) {
@@ -364,6 +403,17 @@ int main(int argc, char** argv) {
   }
   // Strict flag parsing: GetInt/GetDouble flag malformed values on the Args.
   if (!args.ok()) return Usage();
+
+  // Workers signal the serving loop through this when a batch completes.
+  // Declared before the service so it outlives every worker; the loop's
+  // LineServer only borrows it.
+  Result<std::unique_ptr<net::Waker>> waker = net::Waker::Create();
+  if (!waker.ok()) {
+    std::fprintf(stderr, "cannot create waker: %s\n",
+                 waker.status().ToString().c_str());
+    return 1;
+  }
+  const net::Waker* wake = waker.value().get();
 
   // The initial load goes through the same sniffing path as hot reload, so
   // --model accepts either checkpoint format.
@@ -374,7 +424,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto service = serve::GeoService::Create(std::move(model).value(),
-                                           std::move(gazetteer).value(), options);
+                                           std::move(gazetteer).value(), options,
+                                           [wake] { wake->Wake(); });
   if (!service.ok()) {
     std::fprintf(stderr, "cannot serve %s: %s\n", model_path.c_str(),
                  service.status().ToString().c_str());
@@ -394,7 +445,11 @@ int main(int argc, char** argv) {
         return payload;
       });
   if (args.Has("metrics-export") && exporter == nullptr) return Usage();
+  // Every flag has been read by now: one nothing consumed is a typo or a
+  // removed option, and serving without it would hide the mistake.
+  if (!tools::NoUnreadFlags(args)) return Usage();
 
+  g_waker = wake;
   InstallSignalHandlers();
 
   serve::ServeSessionOptions session_options;
@@ -406,13 +461,16 @@ int main(int argc, char** argv) {
   int exit_code;
   if (args.Has("listen")) {
     net::LineServer::Options server_options;
-    server_options.host = args.Get("host", "127.0.0.1");
+    server_options.host = host;
     server_options.port = static_cast<uint16_t>(listen_port);
     server_options.max_line_bytes = static_cast<size_t>(max_line_bytes);
+    server_options.waker = wake;
     exit_code = ServeTcp(&geo, model_path, session_options, server_options);
   } else {
-    exit_code = ServeStdio(&geo, model_path, session_options);
+    exit_code = ServeStdio(&geo, model_path, session_options, *wake,
+                           static_cast<size_t>(max_line_bytes));
   }
+  g_waker = nullptr;  // The waker dies with main's locals.
 
   tools::FlushObservability(args);
   return exit_code;

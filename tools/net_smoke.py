@@ -270,7 +270,7 @@ def chaos_fleet_drill(args):
                 f"replica 127.0.0.1:{port} {args.serve}"
                 f" --model {args.model} --gazetteer {args.gazetteer}"
                 f" --canonical true --cache-capacity 0"
-                f" --max-batch 4 --max-delay-ms 1"
+                f" --max-batch 4"
                 f" --listen {port}\n"
             )
 

@@ -10,8 +10,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "edge/common/status.h"
 #include "edge/data/io.h"
@@ -30,7 +32,8 @@ namespace edge::tools {
 
 /// Minimal --flag value parser; arguments without '--' are rejected. `first`
 /// is the index of the first flag (2 for subcommand tools like edge_cli, 1
-/// for flat tools like edge_serve).
+/// for flat tools like edge_serve). Every accessor records the flag it looked
+/// up, so a tool can reject the flags it never read (Unread()).
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -56,8 +59,12 @@ class Args {
   }
 
   bool ok() const { return ok_; }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  bool Has(const std::string& key) const {
+    read_.insert(key);
+    return values_.count(key) > 0;
+  }
   std::string Get(const std::string& key, const std::string& fallback = "") const {
+    read_.insert(key);
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
@@ -66,6 +73,7 @@ class Args {
   /// "--epochs=ten" or "--epochs 10x" is a hard error (stderr + ok() false)
   /// rather than atol's silent 0. Tools re-check ok() after reading flags.
   long GetInt(const std::string& key, long fallback) const {
+    read_.insert(key);
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     const std::string& text = it->second;
@@ -83,6 +91,7 @@ class Args {
   /// Strict double flag: whole-value parse plus a finiteness check ("inf"
   /// and "nan" are valid from_chars doubles but never valid tool flags).
   double GetDouble(const std::string& key, double fallback) const {
+    read_.insert(key);
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     const std::string& text = it->second;
@@ -98,16 +107,40 @@ class Args {
     return value;
   }
 
+  /// Flags given on the command line that no accessor has read, in name
+  /// order. Meaningful once the tool has read every flag it supports.
+  std::vector<std::string> Unread() const {
+    std::vector<std::string> unread;
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) unread.push_back(key);
+    }
+    return unread;
+  }
+
  private:
   std::map<std::string, std::string> values_;
   /// Strict accessors flag malformed values on a const Args — mutable keeps
   /// the call sites (`const Args&` everywhere) unchanged.
   mutable bool ok_ = true;
+  mutable std::set<std::string> read_;
 };
 
+/// Reports every unread flag on stderr; true when there is none. Call after
+/// the last read so a misspelled or removed flag fails loudly instead of
+/// being ignored.
+inline bool NoUnreadFlags(const Args& args) {
+  std::vector<std::string> unread = args.Unread();
+  for (const std::string& key : unread) {
+    std::fprintf(stderr, "unknown or unused flag --%s\n", key.c_str());
+  }
+  return unread.empty();
+}
+
 /// Applies the observability flags before the tool runs; returns false on a
-/// malformed value.
+/// malformed value. It reads all three flags, --metrics-out too (written by
+/// FlushObservability at exit), so NoUnreadFlags counts them as known.
 inline bool SetupObservability(const Args& args) {
+  args.Has("metrics-out");
   std::string level_text = args.Get("log-level");
   if (!level_text.empty()) {
     obs::LogLevel level;

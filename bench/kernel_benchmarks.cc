@@ -129,8 +129,8 @@ void BM_TrainStep(benchmark::State& state) {
   nn::CsrMatrix s = g.NormalizedAdjacency();
   nn::Matrix feats = nn::GaussianInit(g.num_nodes(), 64, 0.1, &rng);
   for (auto _ : state) {
-    nn::Var x = nn::Constant(feats);
-    nn::Var h = stack.Forward(&s, x);
+    graph::GcnInput input(&s, feats);
+    nn::Var h = stack.Forward(input, input.AllRows());
     nn::Var loss = nn::MeanAll(nn::Mul(h, h));
     nn::Backward(loss);
     benchmark::DoNotOptimize(loss->value.At(0, 0));
@@ -229,10 +229,10 @@ void WriteKernelsJson(const char* path) {
   // the calls that reached ::operator new.
   auto run_steps = [&](int steps) {
     for (int i = 0; i < steps; ++i) {
-      nn::Var x = nn::Constant(h);
+      graph::GcnInput input(&s, h);
       Rng step_rng(3);
       graph::GcnStack stack({64, 64}, &step_rng);
-      nn::Var hid = stack.Forward(&s, x);
+      nn::Var hid = stack.Forward(input, input.AllRows());
       nn::Var loss = nn::MeanAll(nn::Mul(hid, hid));
       nn::Backward(loss);
       benchmark::DoNotOptimize(loss->value.At(0, 0));

@@ -94,8 +94,8 @@ void BM_GcnForwardBackward(benchmark::State& state) {
   nn::Matrix features = nn::GaussianInit(g.num_nodes(), dim, 0.1, &rng);
   graph::GcnStack stack({dim, dim, dim}, &rng);
   for (auto _ : state) {
-    nn::Var x = nn::Constant(features);
-    nn::Var h = stack.Forward(&s, x);
+    graph::GcnInput input(&s, features);
+    nn::Var h = stack.Forward(input, input.AllRows());
     nn::Var loss = nn::MeanAll(nn::Mul(h, h));
     nn::Backward(loss);
     benchmark::DoNotOptimize(loss->value.At(0, 0));

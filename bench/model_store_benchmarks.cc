@@ -12,10 +12,14 @@
 ///                The binary fast path is a map-and-swap: its latency must be
 ///                flat across entity counts while the text path grows
 ///                linearly.
-///   accuracy   — Acc@161km / mean error / checkpoint bytes for fp64, fp32,
-///                fp16 and int8 embeddings on a trained NYMA world, plus the
-///                regression budget CI enforces (int8 may cost at most
-///                `int8_budget_acc161_points` Acc@161 points vs fp64).
+///   accuracy   — the paper's Table III metrics (median error, Acc@3km,
+///                Acc@5km) and checkpoint bytes for fp64, fp32, fp16 and int8
+///                embeddings of a NYMA-sim model, plus the regression budgets
+///                CI enforces on int8 against fp64 (`int8_budget`: at most
+///                `median_km` km more median error and at most
+///                `acc_3km_points` / `acc_5km_points` accuracy points less).
+///                Acc@161 is not used: it is a country-scale ruler and reads
+///                1.0 for every precision on a city-scale world.
 ///
 /// `--accuracy-only` skips the synthetic cold-load/hot-reload sweeps (CI uses
 /// it to check the quantization budget quickly).
@@ -112,9 +116,15 @@ struct HotReload {
 struct AccuracyRow {
   std::string precision;
   size_t bytes;
-  double acc161;
-  double mean_km;
+  double median_km;
+  double acc_3km;
+  double acc_5km;
 };
+
+/// How much int8 embeddings may cost against fp64 on the accuracy model.
+constexpr double kInt8BudgetMedianKm = 0.02;
+constexpr double kInt8BudgetAcc3kmPoints = 0.25;
+constexpr double kInt8BudgetAcc5kmPoints = 0.25;
 
 double PercentileMs(std::vector<double> samples, double q) {
   EDGE_CHECK(!samples.empty());
@@ -235,25 +245,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Accuracy-vs-size sweep on a trained world: quantization error must stay
-  // inside the CI budget.
-  std::fprintf(stderr, "training the accuracy world...\n");
-  data::WorldPresetOptions world_options;
-  world_options.num_fine_pois = 12;
-  world_options.num_coarse_areas = 2;
-  world_options.num_chains = 2;
-  world_options.num_topics = 6;
-  data::TweetGenerator generator(data::MakeNymaWorld(world_options));
-  data::Dataset dataset = generator.Generate(900);
+  // Accuracy-vs-size sweep on the NYMA-sim model the end-to-end benchmark's
+  // train_nyma workload trains (12,000 tweets, default EdgeConfig with
+  // entity2vec 10 and MDN 20 epochs): quantization error must stay inside
+  // the CI budgets.
+  std::fprintf(stderr, "training the NYMA-sim accuracy model...\n");
+  data::TweetGenerator generator(data::MakeNymaWorld());
+  data::Dataset dataset = generator.Generate(12000);
   data::Pipeline pipeline(generator.BuildGazetteer());
   data::ProcessedDataset processed = pipeline.Process(dataset);
   core::EdgeConfig config;
-  config.auto_dim = false;
-  config.embedding_dim = 16;
-  config.gcn_hidden = {16};
-  config.epochs = 8;
-  config.batch_size = 128;
-  config.entity2vec.epochs = 2;
+  config.entity2vec.epochs = 10;
+  config.epochs = 20;
   core::EdgeModel trained(config);
   trained.Fit(processed);
 
@@ -271,15 +274,14 @@ int main(int argc, char** argv) {
     EDGE_CHECK(store.ok()) << store.status().ToString();
     auto model = core::EdgeModel::LoadFromStore(std::move(store).value());
     EDGE_CHECK(model.ok()) << model.status().ToString();
-    size_t abstained = 0;
-    std::vector<double> errors =
-        eval::PredictionErrorsKm(model.value().get(), processed, &abstained);
-    row.acc161 = eval::RdpSweep(errors, abstained, {161.0})[0];
-    row.mean_km =
-        eval::SummarizeErrors(row.precision, std::move(errors), abstained).mean_km;
+    eval::MetricResults metrics = eval::EvaluateGeolocator(model.value().get(), processed);
+    row.median_km = metrics.median_km;
+    row.acc_3km = metrics.at_3km;
+    row.acc_5km = metrics.at_5km;
     accuracy.push_back(row);
-    std::fprintf(stderr, "  %s: %zu bytes, Acc@161 %.4f, mean %.2f km\n",
-                 row.precision.c_str(), row.bytes, row.acc161, row.mean_km);
+    std::fprintf(stderr, "  %s: %zu bytes, median %.4f km, @3km %.4f, @5km %.4f\n",
+                 row.precision.c_str(), row.bytes, row.median_km, row.acc_3km,
+                 row.acc_5km);
   }
 
   std::FILE* out = std::fopen("BENCH_model_store.json", "w");
@@ -287,7 +289,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open BENCH_model_store.json for writing\n");
     return 1;
   }
-  std::fprintf(out, "{\n  \"dim\": 64,\n  \"int8_budget_acc161_points\": 0.5,\n");
+  std::fprintf(out,
+               "{\n  \"dim\": 64,\n  \"int8_budget\": {\"median_km\": %g, "
+               "\"acc_3km_points\": %g, \"acc_5km_points\": %g},\n",
+               kInt8BudgetMedianKm, kInt8BudgetAcc3kmPoints, kInt8BudgetAcc5kmPoints);
   std::fprintf(out, "  \"cold_load\": [\n");
   for (size_t i = 0; i < cold.size(); ++i) {
     const ColdLoad& r = cold[i];
@@ -314,8 +319,8 @@ int main(int argc, char** argv) {
     const AccuracyRow& r = accuracy[i];
     std::fprintf(out,
                  "    {\"precision\": \"%s\", \"bytes\": %zu, "
-                 "\"acc_at_161km\": %.6f, \"mean_km\": %.4f}%s\n",
-                 r.precision.c_str(), r.bytes, r.acc161, r.mean_km,
+                 "\"median_km\": %.6f, \"acc_3km\": %.6f, \"acc_5km\": %.6f}%s\n",
+                 r.precision.c_str(), r.bytes, r.median_km, r.acc_3km, r.acc_5km,
                  i + 1 == accuracy.size() ? "" : ",");
   }
   std::fprintf(out, "  ]\n}\n");

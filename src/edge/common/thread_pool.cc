@@ -139,8 +139,13 @@ void SetNumThreads(int n) {
 int NumThreads() {
   int n = g_num_threads.load(std::memory_order_relaxed);
   if (n > 0) return n;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  // Resolved once: glibc's hardware_concurrency() reads sysfs on every call
+  // (microseconds), and budget 0 is consulted by every parallel kernel call.
+  static const int hardware = [] {
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }();
+  return hardware;
 }
 
 ScopedNumThreads::ScopedNumThreads(int n)
@@ -157,8 +162,10 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
   if (end <= begin) return;
   if (grain == 0) grain = 1;
   size_t num_chunks = (end - begin + grain - 1) / grain;
-  int budget = NumThreads();
-  if (budget <= 1 || num_chunks <= 1 || t_in_parallel_region) {
+  // Most kernel calls on training-sized matrices are one chunk, so the
+  // budget is read only when there is more than one chunk to share.
+  int budget = num_chunks > 1 && !t_in_parallel_region ? NumThreads() : 1;
+  if (budget <= 1) {
     // Serial (or nested-inline) path: one chunk spanning the whole range is a
     // valid partition under the documented contract.
     fn(begin, end);

@@ -201,6 +201,8 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
     }
   }
 
+  graph::GcnInput gcn_input(&normalized_adjacency_, std::move(features));
+
   // --- Stage 4: trainable parameters. ---
   std::vector<size_t> dims = {feature_dim};
   for (size_t width : config_.gcn_hidden) dims.push_back(width);
@@ -357,6 +359,10 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
 
   Stopwatch epoch_watch;
   std::vector<size_t> order(dataset.train.size());
+  // Per-step scratch: the batch's distinct node ids (ascending) and, per
+  // node, its row in the GCN output the step computes.
+  std::vector<size_t> batch_nodes;
+  std::vector<size_t> node_row(graph_.num_nodes());
   TrainState last_good = capture(start_epoch);
   int epochs_this_run = 0;
   int epoch = start_epoch;
@@ -383,30 +389,33 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
       size_t end = std::min(order.size(), start + config_.batch_size);
       size_t batch = end - start;
 
-      nn::Var x = nn::Constant(features);
-      nn::Var h = gcn.Forward(&normalized_adjacency_, x);
-
-      std::vector<nn::Var> tweet_vectors;
-      tweet_vectors.reserve(batch);
+      // The step's loss reads the GCN output only at its tweets' entities,
+      // so the last layer is evaluated for those nodes alone (exact; see
+      // GcnStack::Forward) and one pooling node serves the whole batch.
+      batch_nodes.clear();
+      for (size_t b = start; b < end; ++b) {
+        const std::vector<size_t>& ids = tweet_ids[order[b]];
+        batch_nodes.insert(batch_nodes.end(), ids.begin(), ids.end());
+      }
+      std::sort(batch_nodes.begin(), batch_nodes.end());
+      batch_nodes.erase(std::unique(batch_nodes.begin(), batch_nodes.end()),
+                        batch_nodes.end());
+      for (size_t row = 0; row < batch_nodes.size(); ++row) {
+        node_row[batch_nodes[row]] = row;
+      }
+      std::vector<std::vector<size_t>> tweet_rows(batch);
       nn::Matrix batch_targets(batch, 2);
       for (size_t b = 0; b < batch; ++b) {
         size_t tweet = order[start + b];
-        nn::Var hk = nn::GatherRows(h, tweet_ids[tweet]);
-        nn::Var z;
-        if (config_.use_attention) {
-          nn::Var scores = nn::Relu(nn::AddRowBroadcast(nn::MatMul(hk, attn_q), attn_b));
-          nn::Var weights = nn::SoftmaxCol(scores);
-          z = nn::TransposedMatMul(weights, hk);
-        } else {
-          z = nn::MatMul(nn::Constant(nn::Matrix::Constant(1, tweet_ids[tweet].size(), 1.0)),
-                         hk);
-        }
-        tweet_vectors.push_back(z);
+        for (size_t id : tweet_ids[tweet]) tweet_rows[b].push_back(node_row[id]);
         batch_targets.At(b, 0) = targets[tweet].x;
         batch_targets.At(b, 1) = targets[tweet].y;
       }
+      nn::Var h = gcn.Forward(gcn_input, batch_nodes);
+      nn::Var z_batch = nn::PoolRows(h, std::move(tweet_rows),
+                                     config_.use_attention ? attn_q : nullptr,
+                                     config_.use_attention ? attn_b : nullptr);
       EDGE_TRACE_SPAN("edge.core.fit.mdn_head");
-      nn::Var z_batch = nn::ConcatRows(tweet_vectors);
       nn::Var theta = nn::AddRowBroadcast(nn::MatMul(z_batch, head_w), head_b);
       nn::Var loss = nn::BivariateMdnLoss(theta, batch_targets, mdn_options);
       nn::Backward(loss);
@@ -506,9 +515,7 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
   // --- Stage 6: cache dense inference state. ---
   {
     EDGE_TRACE_SPAN("edge.core.fit.cache_inference");
-    nn::Var x = nn::Constant(features);
-    nn::Var h = gcn.Forward(&normalized_adjacency_, x);
-    smoothed_embeddings_ = h->value;
+    smoothed_embeddings_ = gcn.Forward(gcn_input, gcn_input.AllRows())->value;
   }
   attention_q_ = attn_q->value;
   attention_b_ = attn_b->value.At(0, 0);

@@ -134,7 +134,8 @@ void Entity2Vec::TrainRange(const std::vector<std::vector<size_t>>& id_corpus,
   int64_t processed = 0;
   // Scratch reused across every sentence and pair in this block; TrainPair
   // and the subsampling filter never touch the heap in steady state.
-  std::vector<double> u_grad(options_.dim, 0.0);
+  PairScratch scratch;
+  scratch.u_grad.assign(options_.dim, 0.0);
   std::vector<size_t> kept;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     for (size_t sentence = begin; sentence < end; ++sentence) {
@@ -165,7 +166,7 @@ void Entity2Vec::TrainRange(const std::vector<std::vector<size_t>>& id_corpus,
         size_t hi = std::min(kept.size(), pos + span + 1);
         for (size_t ctx = lo; ctx < hi; ++ctx) {
           if (ctx == pos) continue;
-          TrainPair(kept[pos], kept[ctx], lr, rng, &u_grad);
+          TrainPair(kept[pos], kept[ctx], lr, rng, &scratch);
         }
       }
     }
@@ -178,31 +179,92 @@ size_t Entity2Vec::SampleNegative(Rng* rng) const {
   return static_cast<size_t>(it - negative_cdf_.begin());
 }
 
+namespace {
+
+/// u . v_c for N rows side by side. Each chain is summed over d in ascending
+/// order — bitwise the serial dot — and the interleaving only lets the adds
+/// of different chains overlap.
+template <size_t N>
+void DotChains(const double* EDGE_RESTRICT u, const double* const* v, size_t dim,
+               double* out) {
+  double acc[N] = {};
+  for (size_t d = 0; d < dim; ++d) {
+    const double ud = u[d];
+    for (size_t c = 0; c < N; ++c) acc[c] += ud * v[c][d];
+  }
+  for (size_t c = 0; c < N; ++c) out[c] = acc[c];
+}
+
+/// DotChains over up to four rows.
+void DotGroup(const double* u, const double* const* v, size_t count, size_t dim,
+              double* out) {
+  switch (count) {
+    case 4: return DotChains<4>(u, v, dim, out);
+    case 3: return DotChains<3>(u, v, dim, out);
+    case 2: return DotChains<2>(u, v, dim, out);
+    case 1: return DotChains<1>(u, v, dim, out);
+    default: return;
+  }
+}
+
+}  // namespace
+
 void Entity2Vec::TrainPair(size_t center, size_t context, double lr, Rng* rng,
-                           std::vector<double>* u_grad) {
+                           PairScratch* scratch) {
   const size_t dim = options_.dim;
   double* EDGE_RESTRICT u = input_.row_data(center);
-  double* EDGE_RESTRICT grad = u_grad->data();
+  double* EDGE_RESTRICT grad = scratch->u_grad.data();
   std::fill(grad, grad + dim, 0.0);
 
+  // The targets in update order: the context, then each negative that is not
+  // the context. Sampling reads no embedding, so drawing every negative
+  // before any update leaves the RNG stream unchanged.
+  std::vector<size_t>& targets = scratch->targets;
+  targets.assign(1, context);
+  for (size_t n = 0; n < options_.negatives; ++n) {
+    size_t neg = SampleNegative(rng);
+    if (neg != context) targets.push_back(neg);
+  }
+  auto repeats = [&](size_t i) {
+    return std::find(targets.begin(), targets.begin() + i, targets[i]) !=
+           targets.begin() + i;
+  };
+
+  // u is fixed until the pair's last loop and updating target t writes only
+  // row t of output_, so a target's first dot sees the same v_t before the
+  // earlier targets' updates as after them: those dots run side by side, four
+  // chains at a time. A repeated target is dotted after its earlier update.
+  std::vector<double>& dots = scratch->dots;
+  dots.resize(targets.size());
+  for (size_t i = 0; i < targets.size();) {
+    size_t index[4];
+    const double* rows[4];
+    size_t count = 0;
+    for (; i < targets.size() && count < 4; ++i) {
+      if (repeats(i)) continue;
+      index[count] = i;
+      rows[count] = output_.row_data(targets[i]);
+      ++count;
+    }
+    double out[4];
+    DotGroup(u, rows, count, dim, out);
+    for (size_t c = 0; c < count; ++c) dots[index[c]] = out[c];
+  }
+
   // u lives in input_, v in output_ and grad in caller scratch, so the three
-  // restrict-qualified pointers never alias and both loops vectorize cleanly.
-  auto update = [&](size_t target, double label) {
-    double* EDGE_RESTRICT v = output_.row_data(target);
-    double z = 0.0;
-    for (size_t d = 0; d < dim; ++d) z += u[d] * v[d];
-    double g = (Sigmoid(z) - label) * lr;
+  // restrict-qualified pointers never alias and the loops vectorize cleanly.
+  for (size_t i = 0; i < targets.size(); ++i) {
+    double* EDGE_RESTRICT v = output_.row_data(targets[i]);
+    double z = dots[i];
+    if (repeats(i)) {
+      z = 0.0;
+      for (size_t d = 0; d < dim; ++d) z += u[d] * v[d];
+    }
+    double g = (Sigmoid(z) - (i == 0 ? 1.0 : 0.0)) * lr;
     for (size_t d = 0; d < dim; ++d) {
       grad[d] += g * v[d];
       v[d] -= g * u[d];
     }
-  };
-
-  update(context, 1.0);
-  for (size_t n = 0; n < options_.negatives; ++n) {
-    size_t neg = SampleNegative(rng);
-    if (neg == context) continue;
-    update(neg, 0.0);
   }
   for (size_t d = 0; d < dim; ++d) u[d] -= grad[d];
 }

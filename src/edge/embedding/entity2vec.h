@@ -72,11 +72,19 @@ class Entity2Vec {
   const Entity2VecOptions& options() const { return options_; }
 
  private:
+  /// Caller-owned scratch of one TrainRange block, hoisted out of the pair
+  /// loop so the inner trainer never allocates; TrainPair overwrites it.
+  struct PairScratch {
+    std::vector<double> u_grad;   ///< dim.
+    std::vector<size_t> targets;  ///< The pair's output rows, update order.
+    std::vector<double> dots;     ///< u . v of each target.
+  };
+
   size_t SampleNegative(Rng* rng) const;
-  /// `u_grad` is caller-owned scratch of length dim (hoisted out of the pair
-  /// loop so the inner trainer never allocates); overwritten on entry.
+  /// One skip-gram pair: a positive update of `context`, then one negative
+  /// update per sampled noise token that is not the context.
   void TrainPair(size_t center, size_t context, double lr, Rng* rng,
-                 std::vector<double>* u_grad);
+                 PairScratch* scratch);
   /// Runs the epoch loop over the contiguous sentence block [begin, end) of
   /// `id_corpus`, decaying the learning rate against `planned_tokens` (the
   /// block's token count times epochs). The serial path trains the whole

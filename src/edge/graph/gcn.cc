@@ -1,46 +1,56 @@
 #include "edge/graph/gcn.h"
 
+#include <numeric>
+
 #include "edge/nn/init.h"
 #include "edge/obs/metrics.h"
 #include "edge/obs/trace.h"
 
 namespace edge::graph {
 
-GcnLayer::GcnLayer(size_t in_dim, size_t out_dim, bool apply_relu, Rng* rng)
-    : w_(nn::Param(nn::XavierUniform(in_dim, out_dim, rng))), apply_relu_(apply_relu) {}
+GcnInput::GcnInput(const nn::CsrMatrix* s, nn::Matrix x) : s_(s) {
+  EDGE_CHECK(s != nullptr);
+  sx_ = nn::Constant(s->Multiply(x));
+  x_ = nn::Constant(std::move(x));
+}
 
-nn::Var GcnLayer::Forward(const nn::CsrMatrix* s, const nn::Var& h) const {
-  // SpMm and MatMul dispatch to the row-parallel kernels; no extra threading
-  // is needed here and nesting is safe (inner ParallelFor runs inline).
-  nn::Var out = nn::MatMul(nn::SpMm(s, h), w_);
-  return apply_relu_ ? nn::Relu(out) : out;
+std::vector<size_t> GcnInput::AllRows() const {
+  std::vector<size_t> rows(x_->rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  return rows;
 }
 
 GcnStack::GcnStack(const std::vector<size_t>& dims, Rng* rng) {
   EDGE_CHECK_GE(dims.size(), 1u);
   for (size_t i = 0; i + 1 < dims.size(); ++i) {
-    bool last = (i + 2 == dims.size());
-    layers_.emplace_back(dims[i], dims[i + 1], /*apply_relu=*/!last, rng);
+    weights_.push_back(nn::Param(nn::XavierUniform(dims[i], dims[i + 1], rng)));
   }
   output_dim_ = dims.back();
 }
 
-nn::Var GcnStack::Forward(const nn::CsrMatrix* s, const nn::Var& x) const {
+nn::Var GcnStack::Forward(const GcnInput& input, const std::vector<size_t>& rows) const {
   // The diffusion step of Eq. 1 — the per-batch hot path worth a span of its
   // own in training traces.
   EDGE_TRACE_SPAN("edge.graph.gcn_forward");
   static obs::Counter* forwards =
       obs::Registry::Global().GetCounter("edge.graph.gcn_forwards");
   forwards->Increment();
-  nn::Var h = x;
-  for (const GcnLayer& layer : layers_) h = layer.Forward(s, h);
+  if (weights_.empty()) return nn::GatherRows(input.x(), rows);  // NoGCN: X.
+  nn::Var h;
+  for (size_t i = 0; i < weights_.size(); ++i) {
+    const bool last = i + 1 == weights_.size();
+    // S·H for this layer: the input's precomputed S·X for the first layer,
+    // and only the requested rows for the last.
+    nn::Var sh;
+    if (i == 0) {
+      sh = last ? nn::GatherRows(input.sx(), rows) : input.sx();
+    } else {
+      sh = last ? nn::SpMmRows(input.s(), rows, h) : nn::SpMm(input.s(), h);
+    }
+    h = nn::MatMul(sh, weights_[i]);
+    if (!last) h = nn::Relu(h);
+  }
   return h;
-}
-
-std::vector<nn::Var> GcnStack::Params() const {
-  std::vector<nn::Var> params;
-  for (const GcnLayer& layer : layers_) params.push_back(layer.weight());
-  return params;
 }
 
 }  // namespace edge::graph

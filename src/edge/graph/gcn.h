@@ -8,30 +8,38 @@
 
 namespace edge::graph {
 
-/// One graph-convolution layer (Eq. 1): H' = sigma(S H W), where S is the
-/// symmetric-normalized adjacency held by the caller and sigma is ReLU or
-/// identity. Both the propagation S H (row-parallel CSR spmm) and the dense
-/// H W run under the global thread budget (edge/common/thread_pool.h) with
-/// bitwise-deterministic results at any thread count; the backward pass goes
-/// through the same parallel kernels.
-class GcnLayer {
+/// The constant input of a GcnStack over one graph: the symmetric-normalized
+/// adjacency S, the node features X and S·X. X never changes while a model
+/// trains, so S·X — the first layer's propagation — is computed once here
+/// rather than in every training step.
+class GcnInput {
  public:
-  GcnLayer(size_t in_dim, size_t out_dim, bool apply_relu, Rng* rng);
+  /// `s` is caller-owned and must outlive this input and every tape built on
+  /// it (the entity graph's normalized adjacency).
+  GcnInput(const nn::CsrMatrix* s, nn::Matrix x);
 
-  /// Forward pass on the shared tape; `s` must outlive the tape.
-  nn::Var Forward(const nn::CsrMatrix* s, const nn::Var& h) const;
+  const nn::CsrMatrix* s() const { return s_; }
+  const nn::Var& x() const { return x_; }
+  const nn::Var& sx() const { return sx_; }
 
-  nn::Var weight() const { return w_; }
+  /// 0 .. N - 1 for the N nodes: the rows argument that asks for the whole
+  /// graph.
+  std::vector<size_t> AllRows() const;
 
  private:
-  nn::Var w_;
-  bool apply_relu_;
+  const nn::CsrMatrix* s_;
+  nn::Var x_;
+  nn::Var sx_;
 };
 
-/// A stack of GCN layers diffusing entity embeddings over their n-hop
-/// ego-nets (the paper uses two layers). `dims` are the layer widths
-/// including input: {in, hidden..., out}; an empty stack (dims.size() == 1)
-/// degenerates to the identity, which is exactly the NoGCN ablation.
+/// A stack of graph-convolution layers (Eq. 1), H' = sigma(S H W), diffusing
+/// entity embeddings over their n-hop ego-nets (the paper uses two layers).
+/// `dims` are the layer widths including input: {in, hidden..., out}; an
+/// empty stack (dims.size() == 1) degenerates to the identity, which is
+/// exactly the NoGCN ablation. The propagations S H (row-parallel CSR spmm)
+/// and the dense H W run under the global thread budget
+/// (edge/common/thread_pool.h) with bitwise-deterministic results at any
+/// thread count; the backward pass goes through the same parallel kernels.
 ///
 /// ReLU is applied between layers but the final layer is linear: the paper's
 /// text puts ReLU on every conv layer, but a ReLU-terminated embedding stack
@@ -43,17 +51,22 @@ class GcnStack {
  public:
   GcnStack(const std::vector<size_t>& dims, Rng* rng);
 
-  /// Applies every layer in order.
-  nn::Var Forward(const nn::CsrMatrix* s, const nn::Var& x) const;
+  /// Applies every layer and returns the output rows `rows` (strictly
+  /// ascending node ids), row i being node rows[i]. Earlier layers run on
+  /// the whole graph; the last one runs on the requested rows only, which is
+  /// exact: the rows it skips would reach the loss with zero gradient
+  /// (nn::SpMmRows). A training step asks for the nodes its batch reads;
+  /// pass input.AllRows() for every node.
+  nn::Var Forward(const GcnInput& input, const std::vector<size_t>& rows) const;
 
-  /// All trainable weights.
-  std::vector<nn::Var> Params() const;
+  /// All trainable weights, first layer first.
+  const std::vector<nn::Var>& Params() const { return weights_; }
 
-  size_t num_layers() const { return layers_.size(); }
+  size_t num_layers() const { return weights_.size(); }
   size_t output_dim() const { return output_dim_; }
 
  private:
-  std::vector<GcnLayer> layers_;
+  std::vector<nn::Var> weights_;
   size_t output_dim_;
 };
 

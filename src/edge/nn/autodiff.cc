@@ -156,6 +156,20 @@ Var SpMm(const CsrMatrix* sparse, const Var& x) {
   });
 }
 
+Var SpMmRows(const CsrMatrix* sparse, std::vector<size_t> rows, const Var& x) {
+  EDGE_CHECK(sparse != nullptr);
+  for (size_t i = 1; i < rows.size(); ++i) {
+    EDGE_CHECK_LT(rows[i - 1], rows[i]) << "SpMmRows rows must be strictly ascending";
+  }
+  Matrix value = sparse->MultiplyRows(rows, x->value);
+  return MakeOpNode(std::move(value), {x}, [sparse, rows = std::move(rows)](Node* n) {
+    Node* p = n->parents[0].get();
+    if (p->requires_grad) {
+      p->grad.AddInPlace(sparse->MultiplyRowsTranspose(rows, n->grad));
+    }
+  });
+}
+
 Var GatherRows(const Var& x, std::vector<size_t> indices) {
   Matrix value(indices.size(), x->value.cols());
   const size_t cols = value.cols();
@@ -173,6 +187,140 @@ Var GatherRows(const Var& x, std::vector<size_t> indices) {
       for (size_t c = 0; c < cols; ++c) prow[c] += grow[c];
     }
   });
+}
+
+Var PoolRows(const Var& h, std::vector<std::vector<size_t>> row_lists, const Var& q,
+             const Var& bias) {
+  const bool attention = q != nullptr;
+  EDGE_CHECK_EQ(attention, bias != nullptr) << "PoolRows needs both q and bias, or neither";
+  const Matrix& hv = h->value;
+  const size_t dim = hv.cols();
+  if (attention) {
+    EDGE_CHECK(q->value.rows() == dim && q->value.cols() == 1) << "q must be D x 1";
+    EDGE_CHECK(bias->value.rows() == 1 && bias->value.cols() == 1) << "bias must be 1 x 1";
+  }
+  // Attention state the backward reads, one entry per (tweet, row): the
+  // pre-ReLU score and the softmax weight; tweet b's entries start at
+  // offsets[b].
+  std::vector<size_t> offsets(row_lists.size() + 1, 0);
+  std::vector<double> scores;
+  std::vector<double> weights;
+  Matrix value(row_lists.size(), dim);
+  for (size_t b = 0; b < row_lists.size(); ++b) {
+    const std::vector<size_t>& rows = row_lists[b];
+    EDGE_CHECK(!rows.empty()) << "PoolRows tweet " << b << " has no rows";
+    for (size_t r : rows) EDGE_CHECK_LT(r, hv.rows());
+    offsets[b + 1] = offsets[b] + rows.size();
+    double* EDGE_RESTRICT z = value.row_data(b);
+    if (!attention) {
+      for (size_t r : rows) {
+        const double* EDGE_RESTRICT hr = hv.row_data(r);
+        for (size_t j = 0; j < dim; ++j) z[j] += hr[j];  // 1.0 * x == x.
+      }
+      continue;
+    }
+    // Eq. 2-3: scores = relu(h_k q + bias), weights = softmax(scores).
+    const double* EDGE_RESTRICT qv = q->value.data();
+    const size_t first = offsets[b];
+    double max_score = 0.0;
+    for (size_t k = 0; k < rows.size(); ++k) {
+      const double* EDGE_RESTRICT hr = hv.row_data(rows[k]);
+      double score = 0.0;
+      for (size_t d = 0; d < dim; ++d) score += hr[d] * qv[d];
+      score += bias->value.At(0, 0);
+      scores.push_back(score);
+      double relu = score < 0.0 ? 0.0 : score;
+      weights.push_back(relu);
+      max_score = k == 0 ? relu : std::max(max_score, relu);
+    }
+    double sum = 0.0;
+    for (size_t k = 0; k < rows.size(); ++k) {
+      weights[first + k] = std::exp(weights[first + k] - max_score);
+      sum += weights[first + k];
+    }
+    for (size_t k = 0; k < rows.size(); ++k) weights[first + k] /= sum;
+    // Eq. 4: z = weights^T h_k, each element summed in ascending k.
+    for (size_t k = 0; k < rows.size(); ++k) {
+      const double w = weights[first + k];
+      const double* EDGE_RESTRICT hr = hv.row_data(rows[k]);
+      for (size_t j = 0; j < dim; ++j) z[j] += w * hr[j];
+    }
+  }
+  std::vector<Var> parents = {h};
+  if (attention) {
+    parents.push_back(q);
+    parents.push_back(bias);
+  }
+  return MakeOpNode(
+      std::move(value), std::move(parents),
+      [attention, dim, row_lists = std::move(row_lists), offsets = std::move(offsets),
+       scores = std::move(scores), weights = std::move(weights)](Node* n) {
+        Node* ph = n->parents[0].get();
+        Node* pq = attention ? n->parents[1].get() : nullptr;
+        Node* pb = attention ? n->parents[2].get() : nullptr;
+        const Matrix& hv = ph->value;
+        // Per-tweet scratch: dL/dweights and dL/dscores (post-ReLU mask).
+        std::vector<double> gw;
+        std::vector<double> gs;
+        // Descending tweets: the composed tape's reverse topological order.
+        // The "0.0 +" terms reproduce that tape's adds into zeroed gradient
+        // buffers, which turn a -0.0 product into +0.0.
+        for (size_t b = row_lists.size(); b-- > 0;) {
+          const std::vector<size_t>& rows = row_lists[b];
+          const double* EDGE_RESTRICT dz = n->grad.row_data(b);
+          if (!attention) {
+            if (!ph->requires_grad) continue;
+            for (size_t r : rows) {
+              double* EDGE_RESTRICT hg = ph->grad.row_data(r);
+              for (size_t j = 0; j < dim; ++j) hg[j] += 0.0 + dz[j];
+            }
+            continue;
+          }
+          const double* w = weights.data() + offsets[b];
+          const double* score = scores.data() + offsets[b];
+          const size_t count = rows.size();
+          // TransposedMatMul backward into the weights: gw_k = h_k . dz.
+          gw.assign(count, 0.0);
+          for (size_t k = 0; k < count; ++k) {
+            const double* EDGE_RESTRICT hr = hv.row_data(rows[k]);
+            double acc = 0.0;
+            for (size_t j = 0; j < dim; ++j) acc += hr[j] * dz[j];
+            gw[k] = acc;
+          }
+          // SoftmaxCol, then Relu (the mask reads the pre-ReLU score).
+          double dot = 0.0;
+          for (size_t k = 0; k < count; ++k) dot += gw[k] * w[k];
+          gs.assign(count, 0.0);
+          for (size_t k = 0; k < count; ++k) {
+            double g = 0.0 + w[k] * (gw[k] - dot);
+            gs[k] = score[k] > 0.0 ? g : 0.0;
+          }
+          if (pb->requires_grad) {
+            double* acc = pb->grad.data();
+            for (size_t k = 0; k < count; ++k) *acc += gs[k];
+          }
+          // MatMul(h_k, q) backward into q: q_j += sum_k h_kj gs_k.
+          if (pq->requires_grad) {
+            double* EDGE_RESTRICT qg = pq->grad.data();
+            for (size_t j = 0; j < dim; ++j) {
+              double acc = 0.0;
+              for (size_t k = 0; k < count; ++k) acc += hv.At(rows[k], j) * gs[k];
+              qg[j] += acc;
+            }
+          }
+          // Both ops that read h_k add into its gradient: TransposedMatMul
+          // (w_k dz), then MatMul (gs_k q^T); GatherRows scatters the sum.
+          if (ph->requires_grad) {
+            const double* EDGE_RESTRICT qv = pq->value.data();
+            for (size_t k = 0; k < count; ++k) {
+              double* EDGE_RESTRICT hg = ph->grad.row_data(rows[k]);
+              for (size_t j = 0; j < dim; ++j) {
+                hg[j] += (0.0 + w[k] * dz[j]) + (0.0 + gs[k] * qv[j]);
+              }
+            }
+          }
+        }
+      });
 }
 
 Var Transpose(const Var& x) {

@@ -73,8 +73,29 @@ Var Relu(const Var& x);
 /// z = S * x for a constant sparse S (the GCN propagation step). `sparse`
 /// must outlive the tape; it is owned by the caller (the entity graph).
 Var SpMm(const CsrMatrix* sparse, const Var& x);
+/// Rows `rows` (strictly ascending) of S * x: row i is row rows[i] of
+/// SpMm(sparse, x), bitwise, and the backward scatters S[rows, :]^T * dZ in
+/// ascending row order. That gradient equals SpMm's when the rows not listed
+/// get a zero gradient: their products are ±0.0, and adding ±0.0 to an
+/// accumulator that started at +0.0 changes nothing under round-to-nearest
+/// (finite values assumed). The GCN's last layer runs on this, for the rows a
+/// training batch reads.
+Var SpMmRows(const CsrMatrix* sparse, std::vector<size_t> rows, const Var& x);
 /// Selects rows of x by index (duplicates allowed); backward scatter-adds.
 Var GatherRows(const Var& x, std::vector<size_t> indices);
+/// Pools rows of h into one vector per tweet (Eq. 2-4), for a whole batch in
+/// one tape node: row b of the B x D result pools the rows row_lists[b] of
+/// the N x D h. With attention (q: D x 1, bias: 1 x 1), the weights are
+/// softmax(relu(h_k q + bias)) over the tweet's rows h_k and the row is
+/// weights^T h_k; with q and bias null every weight is 1 (the SUM ablation).
+/// Value and gradients are bitwise those of the per-tweet tape GatherRows ->
+/// MatMul -> AddRowBroadcast -> Relu -> SoftmaxCol -> TransposedMatMul (SUM:
+/// MatMul by a row of ones) followed by ConcatRows: every partial is formed
+/// the way those ops form it, and the backward adds them into h, q and bias
+/// in descending tweet order, the order that tape's reverse topological
+/// walk visits the tweets in.
+Var PoolRows(const Var& h, std::vector<std::vector<size_t>> row_lists, const Var& q,
+             const Var& bias);
 /// Matrix transpose.
 Var Transpose(const Var& x);
 /// Softmax over the single column of a K x 1 matrix (attention weights,

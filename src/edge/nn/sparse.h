@@ -36,14 +36,32 @@ class CsrMatrix {
   /// Returns this * dense (rows x dense.cols()).
   Matrix Multiply(const Matrix& dense) const;
 
+  /// Returns rows `rows` of this * dense (rows.size() x dense.cols()): row i
+  /// is row rows[i] of Multiply(dense), bitwise.
+  Matrix MultiplyRows(const std::vector<size_t>& rows, const Matrix& dense) const;
+
   /// Returns this^T * dense. For the symmetric normalized adjacency this
   /// equals Multiply, but backward passes must not rely on symmetry.
   Matrix MultiplyTranspose(const Matrix& dense) const;
+
+  /// Returns this[rows, :]^T * dense (cols() x dense.cols()), where dense row
+  /// i goes with matrix row rows[i] — the backward of MultiplyRows. Rows are
+  /// scattered in the listed order, so for ascending `rows` each output
+  /// element receives MultiplyTranspose's products in MultiplyTranspose's
+  /// order, minus those of the rows not listed.
+  Matrix MultiplyRowsTranspose(const std::vector<size_t>& rows,
+                               const Matrix& dense) const;
 
   /// Densifies (tests / debugging only).
   Matrix ToDense() const;
 
  private:
+  /// The kernels behind the four products: `rows` lists `count` matrix
+  /// rows, or is null for all of them in order.
+  Matrix MultiplyImpl(const size_t* rows, size_t count, const Matrix& dense) const;
+  Matrix MultiplyTransposeImpl(const size_t* rows, size_t count,
+                               const Matrix& dense) const;
+
   size_t rows_;
   size_t cols_;
   std::vector<size_t> row_offsets_;  // size rows_ + 1

@@ -1,5 +1,9 @@
 #include "edge/nn/autodiff.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "edge/common/rng.h"
@@ -221,7 +225,166 @@ TEST_P(OpGradcheckTest, AttentionBlock) {
   });
 }
 
+TEST_P(OpGradcheckTest, SpMmRowsOp) {
+  CsrMatrix s = CsrMatrix::FromTriplets(
+      4, 4, {{0, 1, 2.0}, {0, 3, 0.4}, {1, 2, -1.0}, {2, 0, 0.5}, {3, 3, 1.5}});
+  Var x = Param(RandomAwayFromZero(4, 2, &rng_));
+  Var w = Param(RandomAwayFromZero(2, 1, &rng_));
+  ExpectGradientsMatch({x, w}, [&] {
+    return SumAll(MatMul(SpMmRows(&s, {0, 2, 3}, x), w));
+  });
+}
+
+/// Pooled batches for the PoolRows checks: tweet 1 has a single entity and
+/// row 2 is shared by three tweets.
+const std::vector<std::vector<size_t>>& PoolRowLists() {
+  static const std::vector<std::vector<size_t>> lists = {{0, 2, 4}, {1}, {2, 3}, {2, 4}};
+  return lists;
+}
+
+TEST_P(OpGradcheckTest, PoolRowsAttention) {
+  Var h = Param(RandomAwayFromZero(5, 3, &rng_));
+  Var q = Param(RandomAwayFromZero(3, 1, &rng_));
+  Var b = Param(RandomAwayFromZero(1, 1, &rng_));
+  Var out_w = Param(RandomAwayFromZero(3, 2, &rng_));
+  ExpectGradientsMatch({h, q, b, out_w}, [&] {
+    return SumAll(MatMul(PoolRows(h, PoolRowLists(), q, b), out_w));
+  });
+}
+
+TEST_P(OpGradcheckTest, PoolRowsUniform) {
+  Var h = Param(RandomAwayFromZero(5, 3, &rng_));
+  Var out_w = Param(RandomAwayFromZero(3, 2, &rng_));
+  ExpectGradientsMatch({h, out_w}, [&] {
+    return SumAll(MatMul(PoolRows(h, PoolRowLists(), nullptr, nullptr), out_w));
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, OpGradcheckTest, ::testing::Range(0, 6));
+
+/// Bit-pattern equality: unlike EXPECT_EQ on doubles, +0.0 and -0.0 differ.
+void ExpectSameBits(const Matrix& a, const Matrix& b, const char* what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t c = 0; c < a.cols(); ++c) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(a.At(r, c)), std::bit_cast<uint64_t>(b.At(r, c)))
+          << what << " (" << r << ", " << c << "): " << a.At(r, c) << " vs " << b.At(r, c);
+    }
+  }
+}
+
+Matrix RandomNormal(size_t rows, size_t cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) m.At(r, c) = rng->Normal();
+  }
+  return m;
+}
+
+/// A head that zeroes some of the pooled gradient (ReLU) and squares the
+/// rest, so the pooled rows receive a mix of +0.0 and varied gradients.
+Var SquaredReluHead(const Var& z, const Var& w) {
+  Var t = Relu(MatMul(z, w));
+  return SumAll(Mul(t, t));
+}
+
+/// The per-tweet tape PoolRows replaces: per tweet a gather, then attention
+/// (Eq. 2-4) or a row of ones, and one ConcatRows for the batch.
+Var ComposedPool(const Var& h, const std::vector<std::vector<size_t>>& row_lists,
+                 const Var& q, const Var& b) {
+  std::vector<Var> pooled;
+  for (const std::vector<size_t>& rows : row_lists) {
+    Var hk = GatherRows(h, rows);
+    if (q != nullptr) {
+      Var weights = SoftmaxCol(Relu(AddRowBroadcast(MatMul(hk, q), b)));
+      pooled.push_back(TransposedMatMul(weights, hk));
+    } else {
+      pooled.push_back(MatMul(Constant(Matrix::Constant(1, rows.size(), 1.0)), hk));
+    }
+  }
+  return ConcatRows(pooled);
+}
+
+TEST(PoolRowsTest, BitwiseEqualToComposedPerTweetTape) {
+  Rng rng(29);
+  const size_t nodes = 40;
+  const size_t dim = 12;
+  std::vector<std::vector<size_t>> row_lists(72);
+  for (std::vector<size_t>& rows : row_lists) {
+    size_t count = 1 + rng.UniformInt(4);
+    while (rows.size() < count) {
+      size_t r = rng.UniformInt(nodes);
+      if (std::find(rows.begin(), rows.end(), r) == rows.end()) rows.push_back(r);
+    }
+  }
+  Var h_leaf = Param(RandomNormal(nodes, dim, &rng));
+  Var q = Param(RandomNormal(dim, 1, &rng));
+  Var b = Param(Matrix(1, 1, -0.3));  // Pushes some scores below the ReLU.
+  Var w = Param(RandomNormal(dim, 6, &rng));
+  for (bool attention : {true, false}) {
+    SCOPED_TRACE(attention ? "attention" : "uniform");
+    Var qa = attention ? q : nullptr;
+    Var ba = attention ? b : nullptr;
+    auto run = [&](bool fused, std::vector<Matrix>* out) {
+      Var h = Scale(h_leaf, 1.0);  // An op output, as the GCN's is in Fit.
+      Var z = fused ? PoolRows(h, row_lists, qa, ba) : ComposedPool(h, row_lists, qa, ba);
+      Backward(SquaredReluHead(z, w));
+      *out = {z->value, h->grad, h_leaf->grad, w->grad};
+      if (attention) {
+        out->push_back(q->grad);
+        out->push_back(b->grad);
+      }
+    };
+    std::vector<Matrix> composed;
+    std::vector<Matrix> fused;
+    run(false, &composed);
+    run(true, &fused);
+    const char* names[] = {"value", "h grad", "h leaf grad", "head grad", "q grad",
+                           "bias grad"};
+    ASSERT_EQ(composed.size(), fused.size());
+    for (size_t i = 0; i < composed.size(); ++i) {
+      ExpectSameBits(fused[i], composed[i], names[i]);
+    }
+  }
+}
+
+TEST(SpMmRowsTest, BitwiseEqualToGatheredFullProduct) {
+  Rng rng(31);
+  const size_t nodes = 50;
+  std::vector<Triplet> triplets;
+  for (size_t r = 0; r < nodes; ++r) {
+    triplets.push_back({r, r, rng.Uniform(0.1, 1.0)});
+    for (int e = 0; e < 4; ++e) {
+      // Signed weights: the skipped rows' products are then -0.0 as well as
+      // +0.0, both of which must leave the accumulators alone.
+      triplets.push_back({r, rng.UniformInt(nodes), rng.Uniform(-1.0, 1.0)});
+    }
+  }
+  CsrMatrix s = CsrMatrix::FromTriplets(nodes, nodes, std::move(triplets));
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < nodes; ++r) {
+    if (rng.Bernoulli(0.3)) rows.push_back(r);
+  }
+  ASSERT_FALSE(rows.empty());
+  Var x = Param(RandomNormal(nodes, 9, &rng));
+  Var w = Param(RandomNormal(9, 5, &rng));
+  for (int threads : {1, 4}) {
+    ScopedNumThreads scoped(threads);
+    auto run = [&](bool restricted, std::vector<Matrix>* out) {
+      Var y = restricted ? SpMmRows(&s, rows, x) : GatherRows(SpMm(&s, x), rows);
+      Backward(SquaredReluHead(y, w));
+      *out = {y->value, x->grad, w->grad};
+    };
+    std::vector<Matrix> full;
+    std::vector<Matrix> restricted;
+    run(false, &full);
+    run(true, &restricted);
+    ExpectSameBits(restricted[0], full[0], "value");
+    ExpectSameBits(restricted[1], full[1], "x grad");
+    ExpectSameBits(restricted[2], full[2], "w grad");
+  }
+}
 
 }  // namespace
 }  // namespace edge::nn

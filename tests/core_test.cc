@@ -11,6 +11,7 @@
 #include "edge/data/generator.h"
 #include "edge/data/worlds.h"
 #include "edge/eval/metrics.h"
+#include "edge/snapshot/scenario.h"
 
 namespace edge::core {
 namespace {
@@ -325,6 +326,99 @@ TEST(EdgeAblationTest, VariantsTrainAndPredict) {
     EXPECT_LT(results.mean_km, 60.0) << config.display_name;
   }
 }
+
+/// One configuration pinned by FitPinTest: how it differs from the small
+/// base model, and the loss history it must reproduce bit for bit.
+struct FitPin {
+  const char* name;
+  EdgeConfig (*make)();
+  std::vector<double> loss_history;
+};
+
+void PrintTo(const FitPin& pin, std::ostream* os) { *os << pin.name; }
+
+/// A 3-epoch Fit on a small NYMA world, pinned bit for bit. The histories
+/// come from the reference formulation: a per-tweet attention tape over a
+/// GCN evaluated on every node and entity2vec pairs dotted one target at a
+/// time. The golden scenarios train only the default 2-layer attention
+/// model, so these pins guard the other configurations. Like the golden
+/// digests, they hold only under the build fingerprint they were recorded
+/// with (compiler and libm); another toolchain skips them.
+class FitPinTest : public ::testing::TestWithParam<FitPin> {
+ protected:
+  static void SetUpTestSuite() {
+    dataset_ = new data::ProcessedDataset(SmallProcessedDataset(800));
+  }
+  static void TearDownTestSuite() {
+    delete dataset_;
+    dataset_ = nullptr;
+  }
+  static data::ProcessedDataset* dataset_;
+};
+
+data::ProcessedDataset* FitPinTest::dataset_ = nullptr;
+
+EdgeConfig PinBase(EdgeConfig config) {
+  config.auto_dim = false;
+  config.embedding_dim = 16;
+  for (size_t& width : config.gcn_hidden) width = 16;
+  config.epochs = 3;
+  config.entity2vec.epochs = 1;
+  config.batch_size = 64;
+  return config;
+}
+
+constexpr const char* kPinFingerprint = "fdc3698cf354853f";
+
+TEST_P(FitPinTest, LossHistoryIsBitwisePinned) {
+  if (snapshot::BuildFingerprint() != kPinFingerprint) {
+    GTEST_SKIP() << "pins recorded under fingerprint " << kPinFingerprint
+                 << ", this build is " << snapshot::BuildFingerprint();
+  }
+  EdgeModel model(GetParam().make());
+  model.Fit(*dataset_);
+  const std::vector<double>& expected = GetParam().loss_history;
+  ASSERT_EQ(model.loss_history().size(), expected.size());
+  for (size_t epoch = 0; epoch < expected.size(); ++epoch) {
+    EXPECT_EQ(model.loss_history()[epoch], expected[epoch])
+        << std::hexfloat << "epoch " << epoch << ": " << model.loss_history()[epoch]
+        << " vs pinned " << expected[epoch];
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, FitPinTest,
+    ::testing::Values(
+        FitPin{"Edge", [] { return PinBase(EdgeConfig()); },
+               {0x1.161b24c5509bp+4, 0x1.b3c16b58e6d1cp+3, 0x1.63b238573d032p+3}},
+        FitPin{"NoGcn", [] { return PinBase(EdgeConfig::NoGcn()); },
+               {0x1.34bf35a1877ap+3, 0x1.f452be3a28eb4p+2, 0x1.b862a122b77d1p+2}},
+        FitPin{"Sum", [] { return PinBase(EdgeConfig::SumAggregation()); },
+               {0x1.14efecb3ccae3p+4, 0x1.ab6f009d0cb09p+3, 0x1.57d88160a029bp+3}},
+        FitPin{"NoMixture", [] { return PinBase(EdgeConfig::NoMixture()); },
+               {0x1.67d2498952b43p+5, 0x1.072aae32ca827p+5, 0x1.8fbfa4ddc66cp+4}},
+        FitPin{"IdentityFeatures",
+               [] {
+                 EdgeConfig config = PinBase(EdgeConfig());
+                 config.feature_mode = EdgeConfig::FeatureMode::kIdentity;
+                 return config;
+               },
+               {0x1.7ad606dd751a6p+3, 0x1.939dcf9d65a33p+2, 0x1.f37c6a20dd6a2p+1}},
+        FitPin{"OneLayer",
+               [] {
+                 EdgeConfig config;
+                 config.gcn_hidden = {16};
+                 return PinBase(config);
+               },
+               {0x1.dcf9704a5cab3p+2, 0x1.8dc53b9d64042p+2, 0x1.60fb78e631963p+2}},
+        FitPin{"ThreeLayer",
+               [] {
+                 EdgeConfig config;
+                 config.gcn_hidden = {16, 16, 16};
+                 return PinBase(config);
+               },
+               {0x1.52d1ab482d304p+3, 0x1.0638c1607f3e4p+3, 0x1.96c541f560473p+2}}),
+    [](const ::testing::TestParamInfo<FitPin>& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace edge::core

@@ -1,7 +1,11 @@
 #include "edge/embedding/entity2vec.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
+#include "edge/common/math_util.h"
 #include "edge/common/rng.h"
 
 namespace edge::embedding {
@@ -94,6 +98,118 @@ TEST(Entity2VecTest, MinCountFiltersRareTokens) {
   EXPECT_NE(model.vocab().Lookup("common"), text::Vocabulary::kNotFound);
   EXPECT_NE(model.vocab().Lookup("other"), text::Vocabulary::kNotFound);
   EXPECT_EQ(model.vocab().Lookup("rare"), text::Vocabulary::kNotFound);
+}
+
+/// Plain sequential skip-gram: the schedule Entity2Vec::Train follows (init,
+/// unigram^0.75 noise, dynamic window, linear lr decay), with every pair
+/// written the textbook way — for each target in turn, dot then update.
+/// Subsampling must be off (threshold 0), so the schedule draws no keep
+/// decisions. Returns the input embeddings; `repeated_pairs` counts pairs in
+/// which some target came up twice.
+nn::Matrix SequentialReference(const std::vector<std::vector<std::string>>& corpus,
+                               const Entity2VecOptions& options,
+                               const text::Vocabulary& vocab, size_t* repeated_pairs) {
+  const size_t dim = options.dim;
+  Rng rng(options.seed);
+  nn::Matrix input(vocab.size(), dim);
+  nn::Matrix output(vocab.size(), dim);
+  double init_scale = 0.5 / static_cast<double>(dim);
+  for (size_t r = 0; r < vocab.size(); ++r) {
+    for (size_t c = 0; c < dim; ++c) input.At(r, c) = rng.Uniform(-init_scale, init_scale);
+  }
+  std::vector<double> cdf(vocab.size());
+  double cumulative = 0.0;
+  for (size_t i = 0; i < vocab.size(); ++i) {
+    cumulative += std::pow(static_cast<double>(vocab.CountOf(i)), 0.75);
+    cdf[i] = cumulative;
+  }
+  int64_t total_tokens = 0;
+  for (const auto& sentence : corpus) total_tokens += static_cast<int64_t>(sentence.size());
+  const int64_t planned = total_tokens * options.epochs;
+  int64_t processed = 0;
+  *repeated_pairs = 0;
+  std::vector<double> grad(dim);
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    for (const auto& sentence : corpus) {
+      std::vector<size_t> ids;
+      for (const std::string& token : sentence) ids.push_back(vocab.Lookup(token));
+      processed += static_cast<int64_t>(ids.size());
+      double lr = std::max(options.min_learning_rate,
+                           options.learning_rate *
+                               (1.0 - static_cast<double>(processed) /
+                                          static_cast<double>(planned)));
+      for (size_t pos = 0; pos < ids.size(); ++pos) {
+        size_t span = 1 + rng.UniformInt(options.window);
+        size_t lo = pos >= span ? pos - span : 0;
+        size_t hi = std::min(ids.size(), pos + span + 1);
+        for (size_t ctx = lo; ctx < hi; ++ctx) {
+          if (ctx == pos) continue;
+          double* u = input.row_data(ids[pos]);
+          std::fill(grad.begin(), grad.end(), 0.0);
+          std::vector<size_t> seen;
+          auto update = [&](size_t target, double label) {
+            if (std::find(seen.begin(), seen.end(), target) != seen.end()) {
+              ++*repeated_pairs;
+            }
+            seen.push_back(target);
+            double* v = output.row_data(target);
+            double z = 0.0;
+            for (size_t d = 0; d < dim; ++d) z += u[d] * v[d];
+            double g = (Sigmoid(z) - label) * lr;
+            for (size_t d = 0; d < dim; ++d) {
+              grad[d] += g * v[d];
+              v[d] -= g * u[d];
+            }
+          };
+          update(ids[ctx], 1.0);
+          for (size_t n = 0; n < options.negatives; ++n) {
+            double draw = rng.Uniform() * cdf.back();
+            size_t neg = static_cast<size_t>(
+                std::lower_bound(cdf.begin(), cdf.end(), draw) - cdf.begin());
+            if (neg == ids[ctx]) continue;
+            update(neg, 0.0);
+          }
+          for (size_t d = 0; d < dim; ++d) u[d] -= grad[d];
+        }
+      }
+    }
+  }
+  return input;
+}
+
+TEST(Entity2VecTest, PairUpdatesMatchSequentialReferenceBitwise) {
+  // Three tokens: most pairs draw some target twice (dotted after its earlier
+  // update); thirty tokens: most pairs have six distinct targets (dotted side
+  // by side).
+  for (size_t vocab_size : {3u, 30u}) {
+    Rng rng(17 + vocab_size);
+    std::vector<std::vector<std::string>> corpus(60);
+    for (auto& sentence : corpus) {
+      size_t length = 3 + rng.UniformInt(6);
+      for (size_t t = 0; t < length; ++t) {
+        sentence.push_back("tok" + std::to_string(rng.UniformInt(vocab_size)));
+      }
+    }
+    Entity2VecOptions options;
+    options.dim = 13;
+    options.window = 3;
+    options.negatives = 5;
+    options.epochs = 3;
+    options.subsample_threshold = 0.0;
+    Entity2Vec model(options);
+    model.Train(corpus);
+    size_t repeated_pairs = 0;
+    nn::Matrix reference =
+        SequentialReference(corpus, options, model.vocab(), &repeated_pairs);
+    if (vocab_size == 3) EXPECT_GT(repeated_pairs, 100u);
+    ASSERT_EQ(model.embeddings().rows(), reference.rows());
+    for (size_t r = 0; r < reference.rows(); ++r) {
+      for (size_t c = 0; c < reference.cols(); ++c) {
+        ASSERT_EQ(model.embeddings().At(r, c), reference.At(r, c))
+            << "vocab " << vocab_size << " row " << r << " col " << c;
+      }
+    }
+  }
 }
 
 TEST(Entity2VecTest, EmptyCorpusIsSafe) {

@@ -81,20 +81,20 @@ TEST(GcnTest, StackShapesAndIdentity) {
   Rng rng(3);
   EntityGraph g = MakeToyGraph();
   nn::CsrMatrix s = g.NormalizedAdjacency();
-  nn::Var x = nn::Constant(nn::Matrix(4, 8, 0.5));
+  GcnInput input(&s, nn::Matrix(4, 8, 0.5));
 
   GcnStack two_layers({8, 16, 6}, &rng);
   EXPECT_EQ(two_layers.num_layers(), 2u);
   EXPECT_EQ(two_layers.output_dim(), 6u);
-  nn::Var h = two_layers.Forward(&s, x);
+  nn::Var h = two_layers.Forward(input, input.AllRows());
   EXPECT_EQ(h->value.rows(), 4u);
   EXPECT_EQ(h->value.cols(), 6u);
   EXPECT_EQ(two_layers.Params().size(), 2u);
 
   GcnStack identity({8}, &rng);  // No layers: the NoGCN ablation.
   EXPECT_EQ(identity.num_layers(), 0u);
-  nn::Var same = identity.Forward(&s, x);
-  EXPECT_TRUE(nn::AllClose(same->value, x->value, 0.0));
+  nn::Var same = identity.Forward(input, input.AllRows());
+  EXPECT_TRUE(nn::AllClose(same->value, input.x()->value, 0.0));
 }
 
 TEST(GcnTest, DiffusionMixesNeighborInformation) {
@@ -125,8 +125,9 @@ TEST(GcnTest, TrainingReducesLossThroughGraph) {
     for (size_t c = 0; c < 3; ++c) features.At(r, c) = rng.Uniform(0.1, 1.0);
   }
   Rng teacher_rng(99);
+  GcnInput input(&s, features);
   GcnStack teacher({3, 8, 3}, &teacher_rng);
-  nn::Matrix labels = teacher.Forward(&s, nn::Constant(features))->value;
+  nn::Matrix labels = teacher.Forward(input, input.AllRows())->value;
 
   GcnStack stack({3, 8, 3}, &rng);
   nn::AdamOptions adam_options;
@@ -136,8 +137,7 @@ TEST(GcnTest, TrainingReducesLossThroughGraph) {
   double first_loss = 0.0;
   double last_loss = 0.0;
   for (int step = 0; step < 400; ++step) {
-    nn::Var x = nn::Constant(features);
-    nn::Var h = stack.Forward(&s, x);
+    nn::Var h = stack.Forward(input, input.AllRows());
     nn::Var diff = nn::Sub(h, nn::Constant(labels));
     nn::Var loss = nn::MeanAll(nn::Mul(diff, diff));
     nn::Backward(loss);

@@ -13,6 +13,8 @@
 #include "edge/common/rng.h"
 #include "edge/common/thread_pool.h"
 #include "edge/core/edge_model.h"
+#include "edge/data/generator.h"
+#include "edge/data/worlds.h"
 #include "edge/embedding/entity2vec.h"
 #include "edge/eval/metrics.h"
 #include "edge/graph/entity_graph.h"
@@ -204,8 +206,8 @@ TEST(ParallelParityTest, GcnForwardAndBackwardBitwiseIdentical) {
 
   auto run = [&](int threads, nn::Matrix* h_out, std::vector<nn::Matrix>* grads) {
     ScopedNumThreads scoped(threads);
-    nn::Var x = nn::Constant(features);
-    nn::Var h = stack.Forward(&s, x);
+    graph::GcnInput input(&s, features);
+    nn::Var h = stack.Forward(input, input.AllRows());
     nn::Var loss = nn::MeanAll(nn::Mul(h, h));
     nn::Backward(loss);
     *h_out = h->value;
@@ -220,6 +222,42 @@ TEST(ParallelParityTest, GcnForwardAndBackwardBitwiseIdentical) {
   ExpectBitwiseEqual(h1, h4);
   ASSERT_EQ(grads1.size(), grads4.size());
   for (size_t p = 0; p < grads1.size(); ++p) ExpectBitwiseEqual(grads1[p], grads4[p]);
+}
+
+TEST(ParallelParityTest, FitLossHistoryIdenticalAcrossBudgets) {
+  // Fit's whole step — S·X, the row-restricted last layer, batch pooling,
+  // backward, Adam — must not move a bit between budgets, including 0 (the
+  // hardware count).
+  data::WorldPresetOptions world_options;
+  world_options.num_fine_pois = 15;
+  world_options.num_coarse_areas = 3;
+  world_options.num_chains = 2;
+  world_options.num_topics = 8;
+  data::TweetGenerator generator(data::MakeNymaWorld(world_options));
+  data::Pipeline pipeline(generator.BuildGazetteer());
+  data::ProcessedDataset dataset = pipeline.Process(generator.Generate(700));
+  auto history = [&](int threads) {
+    core::EdgeConfig config;
+    config.auto_dim = false;
+    config.embedding_dim = 24;
+    config.gcn_hidden = {24, 24};
+    config.epochs = 3;
+    config.entity2vec.epochs = 2;
+    config.batch_size = 64;
+    config.num_threads = threads;
+    core::EdgeModel model(config);
+    model.Fit(dataset);
+    return model.loss_history();
+  };
+  std::vector<double> serial = history(1);
+  ASSERT_EQ(serial.size(), 3u);
+  for (int threads : {4, 0}) {
+    std::vector<double> parallel = history(threads);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (size_t epoch = 0; epoch < serial.size(); ++epoch) {
+      EXPECT_EQ(parallel[epoch], serial[epoch]) << "threads " << threads << " epoch " << epoch;
+    }
+  }
 }
 
 std::vector<std::vector<std::string>> SyntheticCorpus(size_t sentences, uint64_t seed) {

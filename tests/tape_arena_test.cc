@@ -149,8 +149,8 @@ struct TrainFixture {
   }
 
   double Step() {
-    Var x = Constant(features);
-    Var h = stack.Forward(&adjacency, x);
+    graph::GcnInput input(&adjacency, features);
+    Var h = stack.Forward(input, input.AllRows());
     std::vector<Var> pooled;
     pooled.reserve(tweet_ids.size());
     for (const std::vector<size_t>& ids : tweet_ids) {

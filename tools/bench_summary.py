@@ -74,20 +74,21 @@ def main():
     fp64 = next((r for r in acc if r["precision"] == "fp64"), None)
     rows = []
     for r in acc:
-        delta = (r["acc_at_161km"] - fp64["acc_at_161km"]) * 100 if fp64 else 0.0
+        delta = r["median_km"] - fp64["median_km"] if fp64 else 0.0
         rows.append(
             (
                 r["precision"],
                 r["bytes"],
-                f'{r["acc_at_161km"]:.4f}',
-                f"{delta:+.2f} pts",
-                f'{r["mean_km"]:.2f}',
+                f'{r["median_km"]:.4f}',
+                f"{delta:+.4f} km",
+                f'{r["acc_3km"]:.4f}',
+                f'{r["acc_5km"]:.4f}',
             )
         )
     table(
         "model store: accuracy vs embedding precision"
-        f' (int8 budget: {store.get("int8_budget_acc161_points", "?")} pts)',
-        ("precision", "bytes", "Acc@161km", "delta", "mean km"),
+        f' (int8 budget: {store.get("int8_budget", "?")})',
+        ("precision", "bytes", "median km", "delta", "Acc@3km", "Acc@5km"),
         rows,
     )
 

@@ -1,17 +1,19 @@
-/// Model-store benchmark (not a paper table): measures what the edge-model.v1
-/// binary format buys over the text EDGE-INFERENCE checkpoint, across world
-/// sizes and embedding precisions.
+/// Model-store benchmark (not a paper table): measures edge-model.v1 load and
+/// reload cost across world sizes and verify tiers, and the accuracy cost of
+/// each embedding precision.
 ///
 /// Writes BENCH_model_store.json with three sections:
-///   cold_load  — load latency and resident-set growth for text parse vs
-///                binary full-verify vs mmap fast-verify, on synthetic
-///                checkpoints of 2k / 10k / 40k entities at dim 64. The
-///                acceptance bar: mmap cold load >= 10x faster than the text
-///                parse at every size.
-///   hot_reload — GeoService::ReloadFromFile p50/p99 per size and format.
-///                The binary fast path is a map-and-swap: its latency must be
-///                flat across entity counts while the text path grows
-///                linearly.
+///   cold_load  — load latency of full verify vs mmap fast verify, the
+///                resident-set growth of a fast-verified load, and the fp64
+///                file size, on models of 2k / 10k / 40k entities at dim 64.
+///                Each is trained by Fit on one single-entity tweet per
+///                entity (one epoch of each stage, no GCN layer), which takes
+///                well under a second and writes a store of the shape a
+///                trained world of that size writes.
+///   hot_reload — GeoService::ReloadFromFile p50/p99 per size and verify
+///                tier. The fast path is a map-and-swap: its latency must be
+///                flat across entity counts while full verify grows linearly
+///                with the file.
 ///   accuracy   — the paper's Table III metrics (median error, Acc@3km,
 ///                Acc@5km) and checkpoint bytes for fp64, fp32, fp16 and int8
 ///                embeddings of a NYMA-sim model, plus the regression budgets
@@ -21,16 +23,15 @@
 ///                Acc@161 is not used: it is a country-scale ruler and reads
 ///                1.0 for every precision on a city-scale world.
 ///
-/// `--accuracy-only` skips the synthetic cold-load/hot-reload sweeps (CI uses
-/// it to check the quantization budget quickly).
+/// `--accuracy-only` skips the cold-load/hot-reload sweeps (CI uses it to
+/// check the quantization budget quickly).
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "edge/common/check.h"
@@ -59,50 +60,41 @@ size_t ResidentKib() {
   return static_cast<size_t>(resident) * 4;  // Pages are 4 KiB on our targets.
 }
 
-/// Deterministic synthetic EDGE-INFERENCE v1 checkpoint with `entities`
-/// nodes at dimension `dim` — structurally identical to a trained save, so
-/// the parse path being timed is exactly the production one.
-std::string MakeSyntheticCheckpoint(size_t entities, size_t dim) {
-  uint64_t state = 0x9e3779b97f4a7c15ull + entities * 1315423911ull + dim;
-  auto next = [&state]() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<double>((state >> 17) % 100000) / 100000.0 - 0.5;
-  };
-  constexpr size_t kComponents = 5;
-  std::ostringstream os;
-  os.precision(17);
-  os << "EDGE-INFERENCE v1\n";
-  os << "synthetic-" << entities << "\n";
-  os << kComponents << " 0.1 0.9 1\n";
-  os << "40.75 -73.98\n";
-  os << entities << " " << dim << "\n";
-  for (size_t n = 0; n < entities; ++n) os << "poi_" << n << "\n";
-  auto write_random_matrix = [&os, &next](size_t rows, size_t cols) {
-    os << rows << " " << cols << "\n";
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t c = 0; c < cols; ++c) {
-        os << next() << (c + 1 == cols ? '\n' : ' ');
-      }
-    }
-  };
-  write_random_matrix(entities, dim);       // Embeddings.
-  write_random_matrix(dim, 1);              // Attention query.
-  os << next() << "\n";                     // Attention bias.
-  write_random_matrix(dim, 6 * kComponents);  // Head weights.
-  write_random_matrix(1, 6 * kComponents);    // Head bias.
-  os << "0.1 -0.2 12.5\n";                  // Fallback prior.
-  os << "111.0\n";                          // Coordinate scale.
-  return os.str();
+/// A trained model over `entities` single-entity tweets ("poi_0", ...): one
+/// epoch of entity2vec and of the MDN head, no GCN layer, dim 64, 5 mixture
+/// components.
+std::unique_ptr<core::EdgeModel> TrainSyntheticModel(size_t entities) {
+  data::ProcessedDataset dataset;
+  dataset.region = {40.5, 41.0, -74.3, -73.7};
+  dataset.train.reserve(entities);
+  for (size_t i = 0; i < entities; ++i) {
+    data::ProcessedTweet tweet;
+    tweet.id = static_cast<int64_t>(i);
+    std::string name = "poi_" + std::to_string(i);
+    tweet.location = {40.5 + 0.5 * static_cast<double>(i % 997) / 997.0,
+                      -74.3 + 0.6 * static_cast<double>(i % 991) / 991.0};
+    tweet.entities = {{name, text::EntityCategory::kOther}};
+    tweet.tokens = {name};
+    dataset.train_entity_names.insert(name);
+    dataset.train.push_back(std::move(tweet));
+  }
+  core::EdgeConfig config;
+  config.auto_dim = false;
+  config.embedding_dim = 64;
+  config.gcn_hidden = {};
+  config.num_components = 5;
+  config.epochs = 1;
+  config.entity2vec.epochs = 1;
+  auto model = std::make_unique<core::EdgeModel>(config);
+  model->Fit(dataset);
+  return model;
 }
 
 struct ColdLoad {
   size_t entities;
-  double text_ms;
   double full_ms;
   double mmap_ms;
-  size_t text_rss_kib;
   size_t mmap_rss_kib;
-  size_t text_bytes;
   size_t binary_bytes;
 };
 
@@ -159,71 +151,50 @@ int main(int argc, char** argv) {
   if (!accuracy_only) {
     for (size_t entities : {size_t{2000}, size_t{10000}, size_t{40000}}) {
       std::fprintf(stderr, "synthetic world: %zu entities x dim 64\n", entities);
-      std::string text = MakeSyntheticCheckpoint(entities, 64);
-      std::string text_path = "bench_store_" + std::to_string(entities) + ".edge";
-      std::string bin_path = "bench_store_" + std::to_string(entities) + ".bin";
-      EDGE_CHECK(WriteFileAtomic(text_path, text).ok());
+      std::string path = "bench_store_" + std::to_string(entities) + ".edge";
       {
-        auto model = core::LoadInferenceAuto(text_path);
-        EDGE_CHECK(model.ok()) << model.status().ToString();
-        EDGE_CHECK(core::SaveModelStoreAtomic(*model.value(),
-                                              core::EmbedPrecision::kFp64,
-                                              bin_path)
-                       .ok());
+        Stopwatch watch;
+        std::unique_ptr<core::EdgeModel> model = TrainSyntheticModel(entities);
+        std::fprintf(stderr, "  trained in %.3f s\n", watch.ElapsedSeconds());
+        EDGE_CHECK(
+            core::SaveModelStoreAtomic(*model, core::EmbedPrecision::kFp64, path).ok());
       }
 
       ColdLoad row;
       row.entities = entities;
-      row.text_bytes = text.size();
       {
-        std::string bin_bytes;
-        EDGE_CHECK(ReadFileToString(bin_path, &bin_bytes).ok());
-        row.binary_bytes = bin_bytes.size();
+        std::string bytes;
+        EDGE_CHECK(ReadFileToString(path, &bytes).ok());
+        row.binary_bytes = bytes.size();
       }
-      size_t rss_before = ResidentKib();
-      std::unique_ptr<core::EdgeModel> held;
-      row.text_ms = BestOfMs(3, [&] {
-        auto model = core::LoadInferenceAuto(text_path);
-        EDGE_CHECK(model.ok());
-        held = std::move(model).value();
-      });
-      row.text_rss_kib = ResidentKib() - std::min(ResidentKib(), rss_before);
-      held.reset();
       row.full_ms = BestOfMs(3, [&] {
-        auto model = core::LoadInferenceAuto(bin_path, core::StoreVerify::kFull);
+        auto model = core::LoadInferenceAuto(path, core::StoreVerify::kFull);
         EDGE_CHECK(model.ok());
       });
-      rss_before = ResidentKib();
+      std::unique_ptr<core::EdgeModel> held;
+      size_t rss_before = ResidentKib();
       row.mmap_ms = BestOfMs(3, [&] {
-        auto model = core::LoadInferenceAuto(bin_path, core::StoreVerify::kFast);
+        auto model = core::LoadInferenceAuto(path, core::StoreVerify::kFast);
         EDGE_CHECK(model.ok());
         held = std::move(model).value();
       });
       row.mmap_rss_kib = ResidentKib() - std::min(ResidentKib(), rss_before);
       held.reset();
       cold.push_back(row);
-      std::fprintf(stderr,
-                   "  cold load: text %.2f ms, binary(full) %.2f ms, "
-                   "mmap(fast) %.2f ms (%.0fx)\n",
-                   row.text_ms, row.full_ms, row.mmap_ms,
-                   row.text_ms / std::max(row.mmap_ms, 1e-6));
+      std::fprintf(stderr, "  cold load: full verify %.2f ms, mmap(fast) %.3f ms\n",
+                   row.full_ms, row.mmap_ms);
 
       // Hot reload through the serve layer: the full swap a replica pays.
-      struct FormatRun {
+      struct VerifyRun {
         const char* name;
-        const std::string* path;
         core::StoreVerify verify;
       };
-      FormatRun runs[] = {
-          {"text", &text_path, core::StoreVerify::kFull},
-          {"binary_full", &bin_path, core::StoreVerify::kFull},
-          {"binary_fast", &bin_path, core::StoreVerify::kFast},
-      };
-      for (const FormatRun& run : runs) {
+      for (const VerifyRun& run : {VerifyRun{"binary_full", core::StoreVerify::kFull},
+                                   VerifyRun{"binary_fast", core::StoreVerify::kFast}}) {
         serve::GeoServiceOptions options;
         options.cache_capacity = 0;
         options.model_store_verify = run.verify;
-        auto fresh = core::LoadInferenceAuto(bin_path, core::StoreVerify::kFast);
+        auto fresh = core::LoadInferenceAuto(path, core::StoreVerify::kFast);
         EDGE_CHECK(fresh.ok());
         auto service = serve::GeoService::Create(std::move(fresh).value(),
                                                  text::Gazetteer{}, options);
@@ -231,17 +202,16 @@ int main(int argc, char** argv) {
         std::vector<double> samples;
         for (size_t r = 0; r < 20; ++r) {
           Stopwatch watch;
-          Status status = service.value()->ReloadFromFile(*run.path);
+          Status status = service.value()->ReloadFromFile(path);
           EDGE_CHECK(status.ok()) << status.ToString();
           samples.push_back(watch.ElapsedSeconds() * 1e3);
         }
         reloads.push_back({entities, run.name, PercentileMs(samples, 0.5),
                            PercentileMs(samples, 0.99)});
-        std::fprintf(stderr, "  hot reload %-11s p50 %.2f ms p99 %.2f ms\n",
+        std::fprintf(stderr, "  hot reload %-11s p50 %.3f ms p99 %.3f ms\n",
                      run.name, reloads.back().p50_ms, reloads.back().p99_ms);
       }
-      std::remove(text_path.c_str());
-      std::remove(bin_path.c_str());
+      std::remove(path.c_str());
     }
   }
 
@@ -297,12 +267,10 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < cold.size(); ++i) {
     const ColdLoad& r = cold[i];
     std::fprintf(out,
-                 "    {\"entities\": %zu, \"text_ms\": %.3f, "
-                 "\"binary_full_ms\": %.3f, \"mmap_fast_ms\": %.3f, "
-                 "\"text_rss_kib\": %zu, \"mmap_rss_kib\": %zu, "
-                 "\"text_bytes\": %zu, \"binary_bytes\": %zu}%s\n",
-                 r.entities, r.text_ms, r.full_ms, r.mmap_ms, r.text_rss_kib,
-                 r.mmap_rss_kib, r.text_bytes, r.binary_bytes,
+                 "    {\"entities\": %zu, \"binary_full_ms\": %.3f, "
+                 "\"mmap_fast_ms\": %.3f, \"mmap_rss_kib\": %zu, "
+                 "\"binary_bytes\": %zu}%s\n",
+                 r.entities, r.full_ms, r.mmap_ms, r.mmap_rss_kib, r.binary_bytes,
                  i + 1 == cold.size() ? "" : ",");
   }
   std::fprintf(out, "  ],\n  \"hot_reload\": [\n");

@@ -29,13 +29,14 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "edge/common/check.h"
 #include "edge/common/stopwatch.h"
+#include "edge/core/model_store.h"
 #include "edge/obs/trace.h"
 #include "edge/data/generator.h"
 #include "edge/data/pipeline.h"
@@ -57,6 +58,19 @@ struct LoadResult {
   double p99_ms;
 };
 
+/// A service over a fresh model decoded from fp64 edge-model.v1 bytes.
+std::unique_ptr<serve::GeoService> MakeService(const std::string& store,
+                                               const text::Gazetteer& gazetteer,
+                                               const serve::GeoServiceOptions& options) {
+  auto mapped = core::MmapModelStore::FromBytes(store);
+  EDGE_CHECK(mapped.ok()) << mapped.status().ToString();
+  auto model = core::EdgeModel::LoadFromStore(std::move(mapped).value());
+  EDGE_CHECK(model.ok()) << model.status().ToString();
+  auto service = serve::GeoService::Create(std::move(model).value(), gazetteer, options);
+  EDGE_CHECK(service.ok()) << service.status().ToString();
+  return std::move(service).value();
+}
+
 double PercentileMs(std::vector<double>* latencies, double q) {
   if (latencies->empty()) return 0.0;
   std::sort(latencies->begin(), latencies->end());
@@ -65,7 +79,7 @@ double PercentileMs(std::vector<double>* latencies, double q) {
 }
 
 /// `clients` closed-loop clients, `requests_per_client` requests each.
-LoadResult RunLoad(const std::string& checkpoint, const text::Gazetteer& gazetteer,
+LoadResult RunLoad(const std::string& store, const text::Gazetteer& gazetteer,
                    const std::vector<std::string>& texts, size_t max_batch,
                    size_t workers, bool cache, size_t clients,
                    size_t requests_per_client, bool telemetry = true) {
@@ -74,9 +88,7 @@ LoadResult RunLoad(const std::string& checkpoint, const text::Gazetteer& gazette
   options.num_workers = workers;
   options.cache_capacity = cache ? 4096 : 0;
   options.telemetry = telemetry;
-  std::stringstream stream(checkpoint);
-  auto service = serve::GeoService::Create(&stream, gazetteer, options);
-  EDGE_CHECK(service.ok()) << service.status().ToString();
+  std::unique_ptr<serve::GeoService> service = MakeService(store, gazetteer, options);
 
   std::vector<std::vector<double>> latencies(clients);
   std::atomic<size_t> degraded{0};
@@ -88,7 +100,7 @@ LoadResult RunLoad(const std::string& checkpoint, const text::Gazetteer& gazette
       latencies[c].reserve(requests_per_client);
       for (size_t r = 0; r < requests_per_client; ++r) {
         const std::string& text = texts[(c * 131 + r * 17) % texts.size()];
-        serve::ServeResponse response = service.value()->Predict(text);
+        serve::ServeResponse response = service->Predict(text);
         latencies[c].push_back(response.latency_ms);
         if (response.degraded) degraded.fetch_add(1);
       }
@@ -129,7 +141,7 @@ struct OpenLoopResult {
 /// One pacer thread submits on the fixed schedule; responses complete on the
 /// service's workers. Latency is submit->completion, which under overload
 /// includes the queue wait — exactly the number a network client sees.
-OpenLoopResult RunOpenLoop(const std::string& checkpoint,
+OpenLoopResult RunOpenLoop(const std::string& store,
                            const text::Gazetteer& gazetteer,
                            const std::vector<std::string>& texts,
                            double target_qps, size_t total_requests,
@@ -140,9 +152,7 @@ OpenLoopResult RunOpenLoop(const std::string& checkpoint,
   options.cache_capacity = 0;
   options.queue_capacity = 256;  // Small enough that overload actually sheds.
   options.default_deadline_ms = deadline_ms;
-  std::stringstream stream(checkpoint);
-  auto service = serve::GeoService::Create(&stream, gazetteer, options);
-  EDGE_CHECK(service.ok()) << service.status().ToString();
+  std::unique_ptr<serve::GeoService> service = MakeService(store, gazetteer, options);
 
   std::vector<std::future<serve::ServeResponse>> futures;
   futures.reserve(total_requests);
@@ -152,7 +162,7 @@ OpenLoopResult RunOpenLoop(const std::string& checkpoint,
   const auto start = std::chrono::steady_clock::now();
   for (size_t r = 0; r < total_requests; ++r) {
     std::this_thread::sleep_until(start + r * period);
-    futures.push_back(service.value()->SubmitAsync(texts[(r * 17) % texts.size()]));
+    futures.push_back(service->SubmitAsync(texts[(r * 17) % texts.size()]));
   }
   double offered_seconds = watch.ElapsedSeconds();
 
@@ -208,10 +218,9 @@ int main() {
   core::EdgeModel model(config);
   std::fprintf(stderr, "training the benchmark world...\n");
   model.Fit(processed);
-  std::stringstream checkpoint_stream;
-  Status status = model.SaveInference(&checkpoint_stream);
+  std::string store;
+  Status status = core::SerializeModelStore(model, core::EmbedPrecision::kFp64, &store);
   EDGE_CHECK(status.ok()) << status.ToString();
-  std::string checkpoint = checkpoint_stream.str();
 
   std::vector<std::string> texts;
   for (const data::Tweet& tweet : dataset.tweets) texts.push_back(tweet.text);
@@ -223,12 +232,12 @@ int main() {
     for (size_t workers : {1, 2}) {
       std::fprintf(stderr, "load: max_batch=%zu workers=%zu cache=off\n", max_batch,
                    workers);
-      results.push_back(RunLoad(checkpoint, gazetteer, texts, max_batch, workers,
+      results.push_back(RunLoad(store, gazetteer, texts, max_batch, workers,
                                 /*cache=*/false, kClients, kRequestsPerClient));
     }
   }
   std::fprintf(stderr, "load: max_batch=8 workers=1 cache=on\n");
-  results.push_back(RunLoad(checkpoint, gazetteer, texts, 8, 1, /*cache=*/true,
+  results.push_back(RunLoad(store, gazetteer, texts, 8, 1, /*cache=*/true,
                             kClients, kRequestsPerClient));
 
   std::FILE* out = std::fopen("BENCH_serve.json", "w");
@@ -267,7 +276,7 @@ int main() {
     double target = std::max(1.0, factor * capacity_qps);
     std::fprintf(stderr, "open loop: %.0fx capacity (%.0f qps target)\n", factor,
                  target);
-    open_loop.push_back(RunOpenLoop(checkpoint, gazetteer, texts, target,
+    open_loop.push_back(RunOpenLoop(store, gazetteer, texts, target,
                                     kOpenLoopRequests, kDeadlineMs));
   }
   std::fprintf(out, "  \"open_loop\": {\n");
@@ -293,21 +302,21 @@ int main() {
                results.size(), open_loop.size());
 
   // Observability-overhead comparison at one fixed configuration. The three
-  // modes share the checkpoint and request schedule, so the only variable is
+  // modes share the model and request schedule, so the only variable is
   // the instrumentation itself.
   const size_t kObsBatch = 8;
   const size_t kObsWorkers = 2;
   std::fprintf(stderr, "obs overhead: telemetry=off\n");
-  LoadResult off = RunLoad(checkpoint, gazetteer, texts, kObsBatch, kObsWorkers,
+  LoadResult off = RunLoad(store, gazetteer, texts, kObsBatch, kObsWorkers,
                            /*cache=*/false, kClients, kRequestsPerClient,
                            /*telemetry=*/false);
   std::fprintf(stderr, "obs overhead: telemetry=on\n");
-  LoadResult on = RunLoad(checkpoint, gazetteer, texts, kObsBatch, kObsWorkers,
+  LoadResult on = RunLoad(store, gazetteer, texts, kObsBatch, kObsWorkers,
                           /*cache=*/false, kClients, kRequestsPerClient,
                           /*telemetry=*/true);
   std::fprintf(stderr, "obs overhead: telemetry=on tracing=on\n");
   obs::StartTracing();
-  LoadResult traced = RunLoad(checkpoint, gazetteer, texts, kObsBatch, kObsWorkers,
+  LoadResult traced = RunLoad(store, gazetteer, texts, kObsBatch, kObsWorkers,
                               /*cache=*/false, kClients, kRequestsPerClient,
                               /*telemetry=*/true);
   obs::StopTracing();

@@ -6,14 +6,17 @@
 ///     mixture head, end-to-end).
 ///  4. Predict one held-out tweet: full mixture, per-entity attention and
 ///     the Eq. 14 point estimate.
-///  5. Save the trained model and reload it for inference.
+///  5. Serialize the trained model as an edge-model.v1 store and reload it
+///     for inference (edge_cli train writes the same bytes to a file).
 ///
 /// Build & run:  cmake --build build && ./build/examples/quickstart
 
 #include <cstdio>
-#include <sstream>
+#include <string>
+#include <utility>
 
 #include "edge/core/edge_model.h"
+#include "edge/core/model_store.h"
 #include "edge/data/generator.h"
 #include "edge/data/pipeline.h"
 #include "edge/data/worlds.h"
@@ -72,11 +75,13 @@ int main() {
                 g.sigma_y());
   }
 
-  // 5. Serialize for inference elsewhere.
-  std::stringstream blob;
-  Status status = model.SaveInference(&blob);
+  // 5. Serialize for inference elsewhere: fp64 is exact.
+  std::string blob;
+  Status status = core::SerializeModelStore(model, core::EmbedPrecision::kFp64, &blob);
   EDGE_CHECK(status.ok()) << status.ToString();
-  auto restored = core::EdgeModel::LoadInference(&blob);
+  auto store = core::MmapModelStore::FromBytes(std::move(blob));
+  EDGE_CHECK(store.ok()) << store.status().ToString();
+  auto restored = core::EdgeModel::LoadFromStore(std::move(store).value());
   EDGE_CHECK(restored.ok()) << restored.status().ToString();
   core::EdgePrediction again = restored.value()->Predict(tweet);
   std::printf("\nreloaded model agrees: (%.4f, %.4f)\n", again.point.lat,

@@ -1,7 +1,6 @@
 #ifndef EDGE_CORE_EDGE_MODEL_H_
 #define EDGE_CORE_EDGE_MODEL_H_
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -90,7 +89,7 @@ class EdgeModel : public eval::Geolocator {
 
   /// Overrides the inference thread budget (EdgeConfig::num_threads
   /// semantics: 0 = hardware, 1 = serial). Serving processes tune this on a
-  /// loaded checkpoint, whose stream does not carry a thread budget.
+  /// loaded checkpoint, which does not carry a thread budget.
   void set_num_threads(int n);
 
   /// Mean training NLL per epoch (Eq. 13), for convergence tests/plots.
@@ -107,32 +106,23 @@ class EdgeModel : public eval::Geolocator {
 
   const EdgeConfig& config() const { return config_; }
 
-  /// Writes the inference state (smoothed embeddings, attention and head
-  /// parameters, projection, fallback prior) in a versioned text format.
-  Status SaveInference(std::ostream* out) const;
-
-  /// Restores a Predict()-capable model saved by SaveInference. The restored
-  /// model cannot be Fit() again. Truncated, dimension-mismatched or
-  /// otherwise corrupt streams are rejected with a Status error — never an
-  /// abort — so a serving process can refuse a bad checkpoint and keep
-  /// running.
-  static Result<std::unique_ptr<EdgeModel>> LoadInference(std::istream* in);
-
   /// Builds a Predict()-capable model over an already-validated edge-model.v1
-  /// store (model_store.h). Embedding rows are served out of the store —
-  /// zero-copy for fp64, dequantize-on-gather for fp32/fp16/int8 — so this is
-  /// O(1) in entity count: no embedding copy, no graph reconstruction. The
-  /// model holds the shared_ptr, keeping every ConstRowSpan it gathers valid.
-  /// Like LoadInference results, the model cannot be Fit() again.
+  /// store (model_store.h), the one inference checkpoint format: the store
+  /// holds the inference state (smoothed embeddings, attention and head
+  /// parameters, projection, fallback prior). Embedding rows are served out
+  /// of the store — zero-copy for fp64, dequantize-on-gather for
+  /// fp32/fp16/int8 — so this is O(1) in entity count: no embedding copy, no
+  /// graph reconstruction. The model holds the shared_ptr, keeping every
+  /// ConstRowSpan it gathers valid. The model cannot be Fit() again.
   static Result<std::unique_ptr<EdgeModel>> LoadFromStore(
       std::shared_ptr<const MmapModelStore> store);
 
   /// Node id of an entity name in this model's vocabulary (the id space the
   /// embedding rows and the serve-layer cache keys live in), or
-  /// graph::EntityGraph::kNotFound. Routes to the entity graph for trained /
-  /// text-loaded models and to the mapped vocabulary for store-backed ones —
-  /// both number nodes in the same insertion order, so ids agree across
-  /// formats for the same checkpoint.
+  /// graph::EntityGraph::kNotFound. Routes to the entity graph for trained
+  /// models and to the mapped vocabulary for store-backed ones — the store
+  /// keeps the graph's node order, so a trained model and its store agree on
+  /// every id.
   size_t NodeIdOf(std::string_view name) const;
 
   /// Entity name of node `id` (inverse of NodeIdOf). The view aliases model

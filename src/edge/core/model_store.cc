@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <numeric>
 #include <sstream>
@@ -24,14 +23,15 @@ namespace edge::core {
 
 namespace {
 
+/// First bytes of every edge-model.v1 file.
+constexpr char kMagic[8] = {'E', 'D', 'G', 'E', 'M', 'D', 'L', '1'};
 constexpr uint32_t kFormatVersion = 1;
 constexpr uint32_t kEndianProbe = 0x01020304;
 constexpr size_t kHeaderSize = 128;
 constexpr size_t kHeaderChecksumOffset = 120;
 constexpr size_t kAlign = 64;
 constexpr size_t kManifestEntrySize = 32;
-// Same allocation gate as EdgeModel::LoadInference: dimensions above this are
-// a corrupt header, not a model.
+// Allocation gate: dimensions above this are a corrupt header, not a model.
 constexpr uint64_t kMaxDim = uint64_t{1} << 26;
 constexpr uint32_t kMaxSections = 64;
 // The config section is a handful of text lines; anything bigger is corrupt.
@@ -206,15 +206,6 @@ double Fp16ToDouble(uint16_t h) {
   return static_cast<double>(f);
 }
 
-bool LooksLikeModelStore(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char magic[8];
-  size_t n = std::fread(magic, 1, sizeof(magic), f);
-  std::fclose(f);
-  return n == sizeof(magic) && std::memcmp(magic, kModelStoreMagic, 8) == 0;
-}
-
 MmapModelStore::~MmapModelStore() {
   if (mapped_ != nullptr) ::munmap(mapped_, size_);
 }
@@ -225,8 +216,7 @@ std::string MmapModelStore::build_id() const {
 
 Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::Open(
     const std::string& path, StoreVerify verify) {
-  // Same fault point the text reload path probes, so the chaos suite's
-  // transient-read drills cover both formats.
+  // The chaos suite's transient-read drills arm this point.
   if (EDGE_FAULT_POINT("io.checkpoint.read") == fault::Action::kError) {
     return Status::Internal("injected fault: io.checkpoint.read " + path);
   }
@@ -269,10 +259,9 @@ Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::FromBytes(
 
 Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::Validate(
     std::shared_ptr<MmapModelStore> store, StoreVerify verify) {
-  // Untrusted-input discipline (same contract as EdgeModel::LoadInference):
-  // every gate below returns a Status — never an abort, never an OOB read —
-  // and every offset/size is bounds-checked before it is dereferenced or
-  // sizes an allocation. Gates run outside-in: header, then manifest, then
+  // Untrusted-input discipline: every gate below returns a Status — never an
+  // abort, never an OOB read — and every offset/size is bounds-checked before
+  // it is dereferenced or sizes an allocation. Gates run outside-in: header, then manifest, then
   // per-section structure, then (kFull only) content checksums and scans.
   const char* data = store->data_;
   const size_t size = store->size_;
@@ -280,7 +269,7 @@ Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::Validate(
 
   // --- Header. ---
   if (size < kHeaderSize) return Corrupt("file smaller than header");
-  if (std::memcmp(data, kModelStoreMagic, 8) != 0) return Corrupt("bad magic");
+  if (std::memcmp(data, kMagic, 8) != 0) return Corrupt("bad magic");
   if (ReadU32(data + 8) != kFormatVersion) {
     return Corrupt("unsupported format version");
   }
@@ -395,7 +384,7 @@ Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::Validate(
     }
   }
 
-  // --- Config section: same gates as the text loader. ---
+  // --- Config section: plausibility and finiteness gates. ---
   if (config_s->size == 0 || config_s->size > kMaxConfigBytes) {
     return Corrupt("implausible config section size");
   }
@@ -407,7 +396,7 @@ Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::Validate(
     is >> config.display_name;
     is >> config.num_components >> config.sigma_min_km >> config.rho_max >>
         use_attention;
-    if (is.fail()) return Corrupt("truncated config section");
+    if (is.fail()) return Corrupt("truncated or unparsable config section");
     config.use_attention = use_attention != 0;
     constexpr size_t kMaxComponents = 1024;
     if (config.num_components == 0 || config.num_components > kMaxComponents) {
@@ -422,7 +411,7 @@ Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::Validate(
     is >> store->fallback_x_ >> store->fallback_y_ >> store->fallback_sigma_km_;
     is >> store->coord_scale_km_;
     is >> store->attention_b_;
-    if (is.fail()) return Corrupt("truncated config section");
+    if (is.fail()) return Corrupt("truncated or unparsable config section");
     if (!(lat >= -90.0 && lat <= 90.0) || !(lon >= -360.0 && lon <= 360.0)) {
       return Corrupt("projection origin out of range");
     }
@@ -686,7 +675,7 @@ Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
   std::string config_blob;
   {
     // precision(17) round-trips doubles exactly, so config scalars survive
-    // text -> binary -> text bitwise (matching SaveInference's formatting).
+    // a load and re-serialization bitwise.
     std::ostringstream os;
     os.precision(17);
     const EdgeConfig& config = model.config_;
@@ -796,7 +785,7 @@ Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
     const std::string* payload;
   };
   // LoadFromStore copies the small matrices into the model, so these are
-  // valid for trained, text-loaded and store-backed models alike.
+  // valid for trained and store-backed models alike.
   std::string attn_blob = matrix_blob(model.attention_q_);
   std::string head_w_blob = matrix_blob(model.head_w_);
   std::string head_b_blob = matrix_blob(model.head_b_);
@@ -814,7 +803,7 @@ Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
   // --- Assemble: header, aligned sections, manifest; patch header last. ---
   std::string& file = *out;
   file.clear();
-  file.append(kModelStoreMagic, 8);
+  file.append(kMagic, 8);
   AppendU32(&file, kFormatVersion);
   AppendU32(&file, kEndianProbe);
   AppendU64(&file, 0);  // file_size, patched below.
@@ -867,17 +856,10 @@ Status SaveModelStoreAtomic(const EdgeModel& model, EmbedPrecision precision,
 
 Result<std::unique_ptr<EdgeModel>> LoadInferenceAuto(const std::string& path,
                                                      StoreVerify verify) {
-  if (LooksLikeModelStore(path)) {
-    Result<std::shared_ptr<const MmapModelStore>> store =
-        MmapModelStore::Open(path, verify);
-    if (!store.ok()) return store.status();
-    return EdgeModel::LoadFromStore(std::move(store).value());
-  }
-  std::string bytes;
-  Status status = ReadFileToString(path, &bytes, "io.checkpoint.read");
-  if (!status.ok()) return status;
-  std::istringstream in(bytes);
-  return EdgeModel::LoadInference(&in);
+  Result<std::shared_ptr<const MmapModelStore>> store =
+      MmapModelStore::Open(path, verify);
+  if (!store.ok()) return store.status();
+  return EdgeModel::LoadFromStore(std::move(store).value());
 }
 
 }  // namespace edge::core

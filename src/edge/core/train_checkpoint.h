@@ -18,7 +18,7 @@
 /// than stored.
 ///
 /// Format `EDGE-TRAINSTATE v1`: line-oriented text at precision 17 (IEEE
-/// doubles round-trip bitwise, like the EDGE-INFERENCE format), terminated
+/// doubles round-trip bitwise), terminated
 /// by an `END <fnv1a64-hex>` checksum line over every preceding byte. The
 /// checksum line makes torn writes detectable: every strict truncation
 /// prefix of a valid file — and any bit flip before END — is rejected by

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "edge/common/file_util.h"
@@ -191,16 +190,6 @@ const char* DegradeReasonName(DegradeReason reason) {
 }
 
 Result<std::unique_ptr<GeoService>> GeoService::Create(
-    std::istream* checkpoint, text::Gazetteer gazetteer, GeoServiceOptions options,
-    CompletionNotifier on_batch_done) {
-  EDGE_CHECK(checkpoint != nullptr);
-  auto model = core::EdgeModel::LoadInference(checkpoint);
-  if (!model.ok()) return model.status();
-  return Create(std::move(model).value(), std::move(gazetteer), options,
-                std::move(on_batch_done));
-}
-
-Result<std::unique_ptr<GeoService>> GeoService::Create(
     std::unique_ptr<core::EdgeModel> model, text::Gazetteer gazetteer,
     GeoServiceOptions options, CompletionNotifier on_batch_done) {
   if (model == nullptr) return Status::InvalidArgument("null model");
@@ -379,23 +368,8 @@ uint64_t GeoService::model_generation() const {
   return state_->generation;
 }
 
-Status GeoService::ReloadCheckpoint(std::istream* in) {
-  EDGE_CHECK(in != nullptr);
-  ServeMetrics& metrics = Metrics();
-  // Parse and validate before touching any served state: every LoadInference
-  // gate (magic, dimensions, finiteness) applies, and a failure leaves the
-  // old model serving untouched.
-  auto loaded = core::EdgeModel::LoadInference(in);
-  if (!loaded.ok()) {
-    metrics.reload_failures->Increment();
-    EDGE_LOG(WARN) << "model reload rejected"
-                   << obs::Kv("error", loaded.status().ToString());
-    return loaded.status();
-  }
-  return AdoptReloadedModel(std::move(loaded).value());
-}
-
 Status GeoService::AdoptReloadedModel(std::unique_ptr<core::EdgeModel> model) {
+  if (model == nullptr) return Status::InvalidArgument("null model");
   ServeMetrics& metrics = Metrics();
   model->set_num_threads(options_.predict_threads);
   auto fresh = std::make_shared<ModelState>();
@@ -417,38 +391,23 @@ Status GeoService::AdoptReloadedModel(std::unique_ptr<core::EdgeModel> model) {
 }
 
 Status GeoService::ReloadFromFile(const std::string& path) {
-  if (core::LooksLikeModelStore(path)) {
-    // Binary checkpoint: mmap + validate (per options_.model_store_verify)
-    // and swap — under kFast no step here scales with entity count. The
-    // store's Open probes the same io.checkpoint.read fault point as the
-    // text read, so transient-fault chaos drills cover both formats.
-    Result<std::shared_ptr<const core::MmapModelStore>> store = Status::Internal("");
-    Status status = RetryWithBackoff(/*attempts=*/4, /*base_backoff_ms=*/1.0, [&]() {
-      store = core::MmapModelStore::Open(path, options_.model_store_verify);
-      return store.ok() ? Status::Ok() : store.status();
-    });
-    if (status.ok()) {
-      auto loaded = core::EdgeModel::LoadFromStore(std::move(store).value());
-      if (loaded.ok()) return AdoptReloadedModel(std::move(loaded).value());
-      status = loaded.status();
-    }
-    Metrics().reload_failures->Increment();
-    EDGE_LOG(WARN) << "model store reload rejected" << obs::Kv("path", path)
-                   << obs::Kv("error", status.ToString());
-    return status;
-  }
-  std::string content;
+  // mmap + validate (per options_.model_store_verify) before touching any
+  // served state, then swap — under kFast no step here scales with entity
+  // count. Open probes io.checkpoint.read, which the chaos drills arm.
+  Result<std::shared_ptr<const core::MmapModelStore>> store = Status::Internal("");
   Status status = RetryWithBackoff(/*attempts=*/4, /*base_backoff_ms=*/1.0, [&]() {
-    return ReadFileToString(path, &content, "io.checkpoint.read");
+    store = core::MmapModelStore::Open(path, options_.model_store_verify);
+    return store.ok() ? Status::Ok() : store.status();
   });
-  if (!status.ok()) {
-    Metrics().reload_failures->Increment();
-    EDGE_LOG(WARN) << "model reload read failed" << obs::Kv("path", path)
-                   << obs::Kv("error", status.ToString());
-    return status;
+  if (status.ok()) {
+    auto loaded = core::EdgeModel::LoadFromStore(std::move(store).value());
+    if (loaded.ok()) return AdoptReloadedModel(std::move(loaded).value());
+    status = loaded.status();
   }
-  std::istringstream in(content);
-  return ReloadCheckpoint(&in);
+  Metrics().reload_failures->Increment();
+  EDGE_LOG(WARN) << "model reload rejected" << obs::Kv("path", path)
+                 << obs::Kv("error", status.ToString());
+  return status;
 }
 
 ServeResponse GeoService::Predict(const std::string& text) {

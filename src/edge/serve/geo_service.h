@@ -8,7 +8,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -80,10 +79,10 @@ struct GeoServiceOptions {
   /// Availability SLO: the fraction of requests degraded (shed or expired
   /// deadline) over the window must not exceed 1 - slo_availability.
   double slo_availability = 0.999;
-  /// Verification depth when (re)loading an edge-model.v1 binary checkpoint.
+  /// Verification depth when (re)loading an edge-model.v1 checkpoint.
   /// kFull checksums every section (O(model)); kFast runs the structural
-  /// gates only, making ReloadFromFile on a binary checkpoint an O(1)
-  /// map-and-swap in entity count. Use kFast when artifacts come from a
+  /// gates only, making ReloadFromFile an O(1) map-and-swap in entity
+  /// count. Use kFast when artifacts come from a
   /// trusted pipeline that already verified them once (see StoreVerify).
   core::StoreVerify model_store_verify = core::StoreVerify::kFull;
 
@@ -196,14 +195,8 @@ class GeoService {
   /// outlive the service: typically it signals an event loop's net::Waker.
   using CompletionNotifier = std::function<void()>;
 
-  /// Loads an EDGE-INFERENCE v1 checkpoint; corrupt streams come back as a
-  /// Status error (the process keeps running). The gazetteer drives the NER
-  /// that maps raw text to entity ids.
-  static Result<std::unique_ptr<GeoService>> Create(
-      std::istream* checkpoint, text::Gazetteer gazetteer,
-      GeoServiceOptions options = {}, CompletionNotifier on_batch_done = nullptr);
-
-  /// As above from an already-loaded (or freshly trained) model.
+  /// Serves an already-loaded (core::LoadInferenceAuto) or freshly trained
+  /// model. The gazetteer drives the NER that maps raw text to entity ids.
   static Result<std::unique_ptr<GeoService>> Create(
       std::unique_ptr<core::EdgeModel> model, text::Gazetteer gazetteer,
       GeoServiceOptions options = {}, CompletionNotifier on_batch_done = nullptr);
@@ -222,20 +215,20 @@ class GeoService {
   /// Blocking convenience: SubmitAsync + get().
   ServeResponse Predict(const std::string& text);
 
-  /// Hot model reload: parses and fully validates an EDGE-INFERENCE v1
-  /// checkpoint (the same gates as Create), then atomically swaps it in. On
-  /// any validation failure the service keeps serving the old model and the
-  /// error comes back as a Status. In-flight batches finish on the model
-  /// they started with; the response cache is cleared with the swap.
-  Status ReloadCheckpoint(std::istream* in);
+  /// Hot model reload of an already-validated model: sets its thread budget,
+  /// computes its fallback, bumps the generation and atomically swaps it in
+  /// (a null model is an InvalidArgument and changes nothing). In-flight
+  /// batches finish on the model they started with; the response cache is
+  /// cleared with the swap. ReloadFromFile ends here; scenario replay calls
+  /// it with a model built from snapshot bytes.
+  Status AdoptReloadedModel(std::unique_ptr<core::EdgeModel> model);
 
-  /// Hot reload from a checkpoint file of either format, retrying transient
-  /// read faults with backoff (fault point io.checkpoint.read). Text files
-  /// take the ReloadCheckpoint parse path; edge-model.v1 files are mmap'd and
+  /// Hot reload from an edge-model.v1 file, retrying transient read faults
+  /// with backoff (fault point io.checkpoint.read). The file is mmap'd and
   /// verified per options.model_store_verify — under kFast that is an O(1)
-  /// map-and-swap regardless of entity count. Both paths preserve the reload
-  /// invariants: validation before any served-state change, in-flight batches
-  /// finish on their producing model, cache cleared with the generation bump.
+  /// map-and-swap regardless of entity count — before any served state
+  /// changes: on any failure the old model keeps serving and the error comes
+  /// back as a Status.
   Status ReloadFromFile(const std::string& path);
 
   /// The model currently being served (e.g. for projection() when rendering
@@ -301,12 +294,9 @@ class GeoService {
   /// waiting for more; returns false once the service is stopping and drained.
   bool NextBatch(std::vector<Pending>* batch);
   void ProcessBatch(std::vector<Pending>* batch);
-  /// Validated-model tail shared by every reload path: thread budget, fresh
-  /// fallback, generation bump, state swap, cache clear.
-  Status AdoptReloadedModel(std::unique_ptr<core::EdgeModel> model);
   /// Sorted-entity-id cache key ("3,17,42") under `model`'s vocabulary
-  /// (entity graph or mapped store — ids agree across formats for the same
-  /// checkpoint); "" when no entity is known. Keys are only meaningful within
+  /// (entity graph or mapped store — a trained model and its store agree on
+  /// every id); "" when no entity is known. Keys are only meaningful within
   /// one model generation (the cache is cleared on reload).
   static std::string CacheKey(const core::EdgeModel& model,
                               const std::vector<text::Entity>& entities);
@@ -334,7 +324,7 @@ class GeoService {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  /// Swapped wholesale by ReloadCheckpoint; read under mu_, then used
+  /// Swapped wholesale by AdoptReloadedModel; read under mu_, then used
   /// lock-free via the snapshot.
   std::shared_ptr<const ModelState> state_;
   std::deque<Pending> queue_;

@@ -80,8 +80,13 @@ void ServeSession::HandleLine(const std::string& line) {
     return;
   }
   if (!request.reload_path.empty()) {
-    // Control line: swap the served model. In-flight batches finish on the
-    // old model; the acknowledgement keeps its slot in the output order.
+    // Control line: swap the served model once every earlier prediction of
+    // this stream is answered, so answers before the acknowledgement come
+    // from the old model and answers after it from the new one — a
+    // map-and-swap is fast enough to overtake requests still queued.
+    for (InFlight& slot : in_flight_) {
+      if (!slot.is_literal) slot.future.wait();
+    }
     Status status = geo_->ReloadFromFile(request.reload_path);
     InFlight ack;
     ack.id = std::move(request.id);

@@ -20,7 +20,9 @@
 /// batch path concurrently while earlier answers render, so a client that
 /// sends ahead keeps the workers busy. Control verbs (reload/stats/health) and
 /// malformed-line errors are answered as literal lines that keep their slot
-/// in the output order.
+/// in the output order. A reload waits for the stream's earlier predictions
+/// before it swaps the model, so every answer before its acknowledgement
+/// comes from the old model and every answer after it from the new one.
 
 namespace edge::serve {
 

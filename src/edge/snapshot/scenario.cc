@@ -213,9 +213,10 @@ Result<ScenarioResult> RunScenario(const SystemSnapshot& snapshot,
   Status status = serve_options.Validate();
   if (!status.ok()) return status;
 
-  std::istringstream checkpoint(snapshot.model_checkpoint);
+  Result<std::unique_ptr<core::EdgeModel>> model = SnapshotModel(snapshot);
+  if (!model.ok()) return model.status();
   Result<std::unique_ptr<serve::GeoService>> service = serve::GeoService::Create(
-      &checkpoint, generator.BuildGazetteer(), serve_options);
+      std::move(model).value(), generator.BuildGazetteer(), serve_options);
   if (!service.ok()) return service.status();
   serve::GeoService& geo = *service.value();
 
@@ -310,8 +311,9 @@ Result<ScenarioResult> RunScenario(const SystemSnapshot& snapshot,
         break;
       }
       case ScenarioEvent::Type::kReload: {
-        std::istringstream reload_in(snapshot.model_checkpoint);
-        Status reload_status = geo.ReloadCheckpoint(&reload_in);
+        Result<std::unique_ptr<core::EdgeModel>> fresh = SnapshotModel(snapshot);
+        if (!fresh.ok()) return fresh.status();
+        Status reload_status = geo.AdoptReloadedModel(std::move(fresh).value());
         if (!reload_status.ok()) return reload_status;
         emit("{\"event\":\"reload\",\"generation\":" +
              std::to_string(geo.model_generation()) + "}");

@@ -213,8 +213,13 @@ struct SectionSpec {
 
 constexpr SectionSpec kSections[] = {
     {"world", true},  {"rng", true},   {"vocab", true},      {"graph", true},
-    {"model", true},  {"serve", true}, {"trainstate", false}, {"modelbin", false},
+    {"model", true},  {"serve", true}, {"trainstate", false},
 };
+
+/// Manifest header line: magic + version. v2's model section is an fp64
+/// edge-model.v1 store; v1's was a text checkpoint no loader reads now.
+constexpr char kManifestMagic[] = "EDGE-SNAPSHOT ";
+constexpr char kManifestVersion[] = "v2";
 
 std::string SectionPath(const std::string& dir, const std::string& name) {
   return dir + "/" + name + ".section";
@@ -627,12 +632,7 @@ Result<SystemSnapshot> CaptureSystemSnapshot(const core::EdgeModel& model,
   SystemSnapshot snapshot;
   snapshot.world = world;
   snapshot.rng = Rng(world.seed).SaveState();
-  std::ostringstream model_out;
-  status = model.SaveInference(&model_out);
-  if (!status.ok()) return status;
-  snapshot.model_checkpoint = model_out.str();
-  // fp64 keeps the store's predictions bitwise-identical to the text
-  // checkpoint, so either section can serve the replay.
+  // fp64 keeps the store's predictions bitwise-identical to the model's.
   status = core::SerializeModelStore(model, core::EmbedPrecision::kFp64,
                                      &snapshot.model_store);
   if (!status.ok()) return status;
@@ -667,17 +667,14 @@ Status SaveSystemSnapshot(const SystemSnapshot& snapshot, const std::string& dir
   sections.emplace_back("rng", SerializeRngState(snapshot.rng) + "\n");
   sections.emplace_back("vocab", SerializeVocabulary(snapshot.vocabulary));
   sections.emplace_back("graph", SerializeEntityGraph(snapshot.graph));
-  sections.emplace_back("model", snapshot.model_checkpoint);
+  sections.emplace_back("model", snapshot.model_store);
   sections.emplace_back("serve", SerializeServeOptions(snapshot.serve_options));
   if (snapshot.has_train_state) {
     sections.emplace_back("trainstate", core::SerializeTrainState(snapshot.train_state));
   }
-  if (!snapshot.model_store.empty()) {
-    sections.emplace_back("modelbin", snapshot.model_store);
-  }
 
   std::ostringstream manifest;
-  manifest << "EDGE-SNAPSHOT v1\n";
+  manifest << kManifestMagic << kManifestVersion << "\n";
   for (const auto& [name, payload] : sections) {
     Status status = WriteFileAtomic(SectionPath(dir, name), payload,
                                     "io.snapshot.write");
@@ -719,8 +716,14 @@ Result<SystemSnapshot> LoadSystemSnapshot(const std::string& dir) {
 
   LineReader reader(manifest.substr(0, last_line_start));
   std::string line;
-  if (!reader.Next(&line) || line != "EDGE-SNAPSHOT v1") {
+  const std::string magic = kManifestMagic;
+  if (!reader.Next(&line) || line.compare(0, magic.size(), magic) != 0) {
     return Status::InvalidArgument("bad snapshot manifest header");
+  }
+  std::string version = line.substr(magic.size());
+  if (version != kManifestVersion) {
+    return Status::InvalidArgument("unsupported snapshot version " + version +
+                                   " (this build reads " + kManifestVersion + ")");
   }
   struct Listed {
     size_t bytes = 0;
@@ -800,13 +803,11 @@ Result<SystemSnapshot> LoadSystemSnapshot(const std::string& dir) {
   if (!graph.ok()) return graph.status();
   snapshot.graph = std::move(graph).value();
 
-  status = read_section("model", &snapshot.model_checkpoint);
+  status = read_section("model", &snapshot.model_store);
   if (!status.ok()) return status;
-  // Full LoadInference validation pass: the stored stream must construct a
-  // servable model (magic, dimensions, finiteness, plausibility gates).
-  std::istringstream model_in(snapshot.model_checkpoint);
-  Result<std::unique_ptr<core::EdgeModel>> model =
-      core::EdgeModel::LoadInference(&model_in);
+  // Full store validation (header, manifest, per-section checksums, finite
+  // scans): the bytes must construct a servable model.
+  Result<std::unique_ptr<core::EdgeModel>> model = SnapshotModel(snapshot);
   if (!model.ok()) {
     return Status::InvalidArgument("model section rejected: " +
                                    model.status().ToString());
@@ -827,41 +828,15 @@ Result<SystemSnapshot> LoadSystemSnapshot(const std::string& dir) {
     snapshot.has_train_state = true;
   }
 
-  if (listed.find("modelbin") != listed.end()) {
-    status = read_section("modelbin", &snapshot.model_store);
-    if (!status.ok()) return status;
-    // Full store validation (header, manifest, per-section checksums, finite
-    // scans), then a cross-check that the binary store describes the same
-    // model as the text section: same vocabulary, id for id.
-    Result<std::shared_ptr<const core::MmapModelStore>> store =
-        core::MmapModelStore::FromBytes(snapshot.model_store,
-                                        core::StoreVerify::kFull);
-    if (!store.ok()) {
-      return Status::InvalidArgument("modelbin section rejected: " +
-                                     store.status().ToString());
-    }
-    const core::MmapModelStore& bin = *store.value();
-    if (bin.num_nodes() != model.value()->num_entities()) {
-      return Status::InvalidArgument(
-          "modelbin and model sections disagree on node count");
-    }
-    for (size_t id = 0; id < bin.num_nodes(); ++id) {
-      if (bin.NodeName(id) != model.value()->NodeNameOf(id)) {
-        return Status::InvalidArgument(
-            "modelbin and model sections disagree at node " + std::to_string(id));
-      }
-    }
-  }
-
   // Cross-section consistency: the model's node table must be the graph's,
   // id for id, and every graph node must be a vocabulary entry — a snapshot
   // assembled from mismatched captures must not load.
-  const graph::EntityGraph& model_graph = model.value()->entity_graph();
-  if (model_graph.num_nodes() != snapshot.graph.num_nodes()) {
+  const core::EdgeModel& served = *model.value();
+  if (served.num_entities() != snapshot.graph.num_nodes()) {
     return Status::InvalidArgument("model and graph sections disagree on node count");
   }
   for (size_t id = 0; id < snapshot.graph.num_nodes(); ++id) {
-    if (model_graph.NodeName(id) != snapshot.graph.NodeName(id)) {
+    if (served.NodeNameOf(id) != snapshot.graph.NodeName(id)) {
       return Status::InvalidArgument("model and graph sections disagree at node " +
                                      std::to_string(id));
     }
@@ -872,6 +847,13 @@ Result<SystemSnapshot> LoadSystemSnapshot(const std::string& dir) {
     }
   }
   return snapshot;
+}
+
+Result<std::unique_ptr<core::EdgeModel>> SnapshotModel(const SystemSnapshot& snapshot) {
+  Result<std::shared_ptr<const core::MmapModelStore>> store =
+      core::MmapModelStore::FromBytes(snapshot.model_store, core::StoreVerify::kFull);
+  if (!store.ok()) return store.status();
+  return core::EdgeModel::LoadFromStore(std::move(store).value());
 }
 
 }  // namespace edge::snapshot

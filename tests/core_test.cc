@@ -1,13 +1,19 @@
 #include "edge/core/edge_model.h"
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <unordered_map>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "edge/common/check.h"
+#include "edge/common/file_util.h"
+#include "edge/common/hash.h"
 #include "edge/common/math_util.h"
+#include "edge/core/model_store.h"
 #include "edge/data/generator.h"
 #include "edge/data/worlds.h"
 #include "edge/eval/metrics.h"
@@ -189,94 +195,104 @@ TEST_F(EdgeModelTest, AttentionFavoursFineGrainedEntities) {
   EXPECT_GT(non_uniform, 0u) << "attention collapsed to exactly uniform";
 }
 
+/// `model` as fp64 edge-model.v1 bytes.
+std::string StoreBytes(const EdgeModel& model) {
+  std::string bytes;
+  Status status = SerializeModelStore(model, EmbedPrecision::kFp64, &bytes);
+  EDGE_CHECK(status.ok()) << status.ToString();
+  return bytes;
+}
+
+/// Loads `bytes` the way the tools do: from a file, through LoadInferenceAuto.
+Result<std::unique_ptr<EdgeModel>> LoadBytes(const std::string& bytes,
+                                             StoreVerify verify = StoreVerify::kFull) {
+  std::string path = ::testing::TempDir() + "core_test_model_" +
+                     std::to_string(::getpid()) + ".edge";
+  Status status = WriteFileAtomic(path, bytes);
+  EDGE_CHECK(status.ok()) << status.ToString();
+  Result<std::unique_ptr<EdgeModel>> model = LoadInferenceAuto(path, verify);
+  std::remove(path.c_str());
+  return model;
+}
+
 TEST_F(EdgeModelTest, SaveLoadRoundTripPredictsIdentically) {
-  std::stringstream stream;
-  Status status = model_->SaveInference(&stream);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  auto loaded = EdgeModel::LoadInference(&stream);
+  auto loaded = LoadBytes(StoreBytes(*model_));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   for (size_t i = 0; i < std::min<size_t>(10, dataset_->test.size()); ++i) {
     EdgePrediction original = model_->Predict(dataset_->test[i]);
     EdgePrediction restored = loaded.value()->Predict(dataset_->test[i]);
-    EXPECT_NEAR(original.point.lat, restored.point.lat, 1e-9);
-    EXPECT_NEAR(original.point.lon, restored.point.lon, 1e-9);
+    // fp64 stores the raw IEEE bytes: the restored model is exact.
+    EXPECT_EQ(original.point.lat, restored.point.lat);
+    EXPECT_EQ(original.point.lon, restored.point.lon);
     ASSERT_EQ(original.attention.size(), restored.attention.size());
     for (size_t k = 0; k < original.attention.size(); ++k) {
-      EXPECT_NEAR(original.attention[k].weight, restored.attention[k].weight, 1e-9);
+      EXPECT_EQ(original.attention[k].entity, restored.attention[k].entity);
+      EXPECT_EQ(original.attention[k].weight, restored.attention[k].weight);
     }
   }
 }
 
 TEST_F(EdgeModelTest, LoadRejectsGarbage) {
-  std::stringstream bad("not a model");
-  auto result = EdgeModel::LoadInference(&bad);
-  EXPECT_FALSE(result.ok());
-}
-
-/// Returns the fixture model's checkpoint with text line `index` (0-based)
-/// replaced by `replacement`.
-std::string CorruptCheckpointLine(EdgeModel* model, size_t index,
-                                  const std::string& replacement) {
-  std::stringstream stream;
-  EDGE_CHECK(model->SaveInference(&stream).ok());
-  std::string text = stream.str();
-  size_t begin = 0;
-  for (size_t i = 0; i < index; ++i) begin = text.find('\n', begin) + 1;
-  size_t end = text.find('\n', begin);
-  return text.substr(0, begin) + replacement + text.substr(end);
+  EXPECT_FALSE(LoadBytes("not a model").ok());
+  EXPECT_FALSE(LoadBytes(std::string(4096, 'x'), StoreVerify::kFast).ok());
 }
 
 TEST_F(EdgeModelTest, LoadRejectsTruncatedStreams) {
-  // Regression: a checkpoint cut off mid-write (full disk, killed trainer)
-  // used to abort the loader or construct garbage-sized matrices.
-  std::stringstream stream;
-  ASSERT_TRUE(model_->SaveInference(&stream).ok());
-  std::string full = stream.str();
+  // A checkpoint cut off mid-write (full disk, killed trainer) must be
+  // refused at either verify tier, never served.
+  std::string full = StoreBytes(*model_);
   for (size_t cut : {full.size() / 2, full.size() / 4, size_t{40}}) {
-    std::stringstream truncated(full.substr(0, cut));
-    auto result = EdgeModel::LoadInference(&truncated);
-    EXPECT_FALSE(result.ok()) << "accepted a checkpoint truncated to " << cut
-                              << " of " << full.size() << " bytes";
+    for (StoreVerify verify : {StoreVerify::kFull, StoreVerify::kFast}) {
+      EXPECT_FALSE(LoadBytes(full.substr(0, cut), verify).ok())
+          << "accepted a checkpoint truncated to " << cut << " of " << full.size()
+          << " bytes";
+    }
   }
 }
 
 TEST_F(EdgeModelTest, LoadRejectsWrongMagic) {
-  std::stringstream bad(
-      CorruptCheckpointLine(model_, 0, "EDGE-TRAINING v1"));
-  auto result = EdgeModel::LoadInference(&bad);
-  EXPECT_FALSE(result.ok());
-  EXPECT_NE(result.status().ToString().find("header"), std::string::npos);
+  std::string bytes = StoreBytes(*model_);
+  bytes[7] = '0';  // "EDGEMDL0"
+  auto result = LoadBytes(bytes, StoreVerify::kFast);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().ToString().find("magic"), std::string::npos);
 }
 
 TEST_F(EdgeModelTest, LoadRejectsDimensionMismatch) {
-  // Inflate the declared node count on line 4 ("num_nodes hidden"): the
-  // embedding matrix that follows no longer matches and must be rejected,
-  // not read past.
-  size_t num_nodes = model_->entity_graph().num_nodes();
-  std::stringstream bad(CorruptCheckpointLine(
-      model_, 4, std::to_string(num_nodes + 1) + " 32"));
-  auto result = EdgeModel::LoadInference(&bad);
-  EXPECT_FALSE(result.ok());
+  // Inflate the header's node count (bytes 40..47) and re-seal the header
+  // checksum: the vocabulary and embedding sections no longer match it and
+  // must be rejected, not read past.
+  std::string bytes = StoreBytes(*model_);
+  uint64_t num_nodes = 0;
+  std::memcpy(&num_nodes, bytes.data() + 40, 8);
+  ASSERT_EQ(num_nodes, model_->num_entities());
+  ++num_nodes;
+  std::memcpy(bytes.data() + 40, &num_nodes, 8);
+  uint64_t checksum = Fnv1a64Bytes(bytes.data(), 120);
+  std::memcpy(bytes.data() + 120, &checksum, 8);
+  EXPECT_FALSE(LoadBytes(bytes, StoreVerify::kFast).ok());
+  EXPECT_FALSE(LoadBytes(bytes, StoreVerify::kFull).ok());
 }
 
 TEST_F(EdgeModelTest, LoadRejectsCorruptComponentCount) {
-  // Line 2 is "num_components sigma_min rho_max use_attention". Zero used to
-  // abort inside the EdgeModel constructor's config check; a negative token
-  // wraps size_t extraction to ~2^64 and used to size an allocation.
-  for (const char* count : {"0", "-5", "99999999"}) {
-    std::stringstream bad(CorruptCheckpointLine(
-        model_, 2, std::string(count) + " 0.5 0.9 1"));
-    auto result = EdgeModel::LoadInference(&bad);
-    EXPECT_FALSE(result.ok()) << "accepted num_components = " << count;
-  }
+  // The config section is the first section (offset 128): text whose second
+  // line starts with the mixture component count. A zero there used to be
+  // able to reach the EdgeModel constructor's config abort; kFast does not
+  // checksum the config, so the count gate itself must refuse it.
+  std::string bytes = StoreBytes(*model_);
+  size_t count_at = bytes.find('\n', 128) + 1;
+  ASSERT_EQ(bytes[count_at], static_cast<char>('0' + model_->config().num_components));
+  bytes[count_at] = '0';
+  auto result = LoadBytes(bytes, StoreVerify::kFast);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().ToString().find("component count"), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST_F(EdgeModelTest, RoundTripPredictPointsBitwiseAcrossThreadBudgets) {
   // The serving chain (save -> load -> batched predict at any thread budget)
   // must answer bit-for-bit what the trained model answers serially.
-  std::stringstream stream;
-  ASSERT_TRUE(model_->SaveInference(&stream).ok());
-  auto loaded = EdgeModel::LoadInference(&stream);
+  auto loaded = LoadBytes(StoreBytes(*model_));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   size_t n = std::min<size_t>(200, dataset_->test.size());

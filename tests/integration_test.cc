@@ -84,8 +84,8 @@ TEST(IntegrationTest, EndToEndDeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.median_km, b.median_km);
   EXPECT_DOUBLE_EQ(a.at_3km, b.at_3km);
   // And the captured snapshots agree byte for byte.
-  EXPECT_EQ(rebuilt.value().snapshot.model_checkpoint,
-            fixture.artifacts.snapshot.model_checkpoint);
+  EXPECT_EQ(rebuilt.value().snapshot.model_store,
+            fixture.artifacts.snapshot.model_store);
 }
 
 TEST(IntegrationTest, SnapshotSurvivesDiskCycleConsistently) {
@@ -93,8 +93,8 @@ TEST(IntegrationTest, SnapshotSurvivesDiskCycleConsistently) {
   SharedFixture& fixture = Fixture();
   EXPECT_EQ(snapshot::SerializeWorldConfig(fixture.loaded.world),
             snapshot::SerializeWorldConfig(fixture.artifacts.snapshot.world));
-  EXPECT_EQ(fixture.loaded.model_checkpoint,
-            fixture.artifacts.snapshot.model_checkpoint);
+  EXPECT_EQ(fixture.loaded.model_store,
+            fixture.artifacts.snapshot.model_store);
   EXPECT_EQ(fixture.loaded.graph.num_nodes(),
             fixture.artifacts.model->entity_graph().num_nodes());
   EXPECT_EQ(fixture.loaded.graph.num_edges(),

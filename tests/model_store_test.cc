@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -22,12 +24,13 @@
 #include "edge/data/worlds.h"
 #include "edge/graph/entity_graph.h"
 
-/// edge-model.v1 drills (DESIGN.md §15): bitwise text<->binary round trips,
-/// store-backed prediction parity at several thread budgets, zero-copy
-/// aliasing, quantization error bounds, and the untrusted-input sweep — every
-/// header truncation, sampled bit flips over the whole file, wrong
-/// magic/version/endianness and implausible dimensions must come back from
-/// Open/FromBytes as a Status, never an abort.
+/// edge-model.v1 drills (DESIGN.md §15): bitwise re-serialization round
+/// trips, store-backed prediction parity with the trained model at several
+/// thread budgets, zero-copy aliasing, quantization error bounds, and the
+/// untrusted-input sweep — every header truncation, sampled bit flips over
+/// the whole file, wrong magic/version/endianness, implausible dimensions and
+/// implausible config values must come back from Open/FromBytes as a Status,
+/// never an abort.
 
 namespace edge::core {
 namespace {
@@ -57,6 +60,83 @@ void FixHeaderChecksum(std::string* bytes) {
   WriteU64At(bytes, 120, Fnv1a64Bytes(bytes->data(), 120));
 }
 
+/// Where section `id` sits: its manifest entry and its payload.
+struct SectionSpan {
+  size_t entry = 0;
+  size_t offset = 0;
+  size_t size = 0;
+};
+
+SectionSpan FindSection(const std::string& bytes, uint32_t id) {
+  size_t manifest = ReadU64At(bytes, 24);
+  uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + 32, 4);
+  for (uint32_t s = 0; s < count; ++s) {
+    size_t entry = manifest + size_t{s} * 32;
+    uint32_t entry_id = 0;
+    std::memcpy(&entry_id, bytes.data() + entry, 4);
+    if (entry_id == id) {
+      return {entry, ReadU64At(bytes, entry + 8), ReadU64At(bytes, entry + 16)};
+    }
+  }
+  EDGE_CHECK(false) << "no section " << id;
+  return {};
+}
+
+/// Recomputes section `id`'s FNV in its manifest entry and the manifest's
+/// trailing checksum after a deliberate payload edit, so kFull's checksum
+/// gates pass and the semantic gate behind them is what the test exercises.
+void FixSectionChecksums(std::string* bytes, uint32_t id) {
+  SectionSpan span = FindSection(*bytes, id);
+  WriteU64At(bytes, span.entry + 24,
+             Fnv1a64Bytes(bytes->data() + span.offset, span.size));
+  size_t manifest = ReadU64At(*bytes, 24);
+  size_t manifest_bytes = bytes->size() - 8 - manifest;
+  WriteU64At(bytes, bytes->size() - 8,
+             Fnv1a64Bytes(bytes->data() + manifest, manifest_bytes));
+}
+
+/// Shortest decimal that parses back to exactly `v`.
+std::string ShortestDecimal(double v) {
+  char buf[32];
+  for (int digits = 1; digits <= 17; ++digits) {
+    std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+/// `bytes` with token `token` of config line `line` replaced by `value`.
+/// Every other number is rewritten in its shortest exact form and the text
+/// is padded with spaces, so the section keeps its byte length (no
+/// structural gate fires) and every other value parses back bitwise.
+std::string WithConfigToken(const std::string& bytes, size_t line, size_t token,
+                            const std::string& value) {
+  constexpr uint32_t kConfigSection = 1;
+  SectionSpan span = FindSection(bytes, kConfigSection);
+  std::istringstream in(bytes.substr(span.offset, span.size));
+  std::string text;
+  std::string config_line;
+  for (size_t l = 0; std::getline(in, config_line); ++l) {
+    std::istringstream words(config_line);
+    std::string word;
+    for (size_t t = 0; words >> word; ++t) {
+      if (t > 0) text += ' ';
+      if (l == line && t == token) {
+        text += value;
+      } else {
+        text += l == 0 ? word : ShortestDecimal(std::strtod(word.c_str(), nullptr));
+      }
+    }
+    text += '\n';
+  }
+  EDGE_CHECK(text.size() <= span.size) << "edited config does not fit";
+  text.append(span.size - text.size(), ' ');
+  std::string edited = bytes;
+  edited.replace(span.offset, span.size, text);
+  return edited;
+}
+
 bool Rejected(const std::string& bytes,
               StoreVerify verify = StoreVerify::kFull) {
   return !MmapModelStore::FromBytes(bytes, verify).ok();
@@ -64,8 +144,8 @@ bool Rejected(const std::string& bytes,
 
 // --- Fixture --------------------------------------------------------------
 
-/// One trained model per test binary, plus its canonical text checkpoint and
-/// fp64 store bytes. Everything is read-only after SetUpTestSuite.
+/// One trained model per test binary, plus its fp64 store bytes. Everything
+/// is read-only after SetUpTestSuite.
 class ModelStoreTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -89,23 +169,16 @@ class ModelStoreTest : public ::testing::Test {
     model_ = new EdgeModel(config);
     model_->Fit(*processed_);
 
-    std::ostringstream text;
-    Status status = model_->SaveInference(&text);
-    EDGE_CHECK(status.ok()) << status.ToString();
-    text_checkpoint_ = new std::string(text.str());
-
     store_bytes_ = new std::string();
-    status = SerializeModelStore(*model_, EmbedPrecision::kFp64, store_bytes_);
+    Status status = SerializeModelStore(*model_, EmbedPrecision::kFp64, store_bytes_);
     EDGE_CHECK(status.ok()) << status.ToString();
   }
 
   static void TearDownTestSuite() {
     delete store_bytes_;
-    delete text_checkpoint_;
     delete model_;
     delete processed_;
     store_bytes_ = nullptr;
-    text_checkpoint_ = nullptr;
     model_ = nullptr;
     processed_ = nullptr;
   }
@@ -138,13 +211,11 @@ class ModelStoreTest : public ::testing::Test {
 
   static data::ProcessedDataset* processed_;
   static EdgeModel* model_;
-  static std::string* text_checkpoint_;
   static std::string* store_bytes_;
 };
 
 data::ProcessedDataset* ModelStoreTest::processed_ = nullptr;
 EdgeModel* ModelStoreTest::model_ = nullptr;
-std::string* ModelStoreTest::text_checkpoint_ = nullptr;
 std::string* ModelStoreTest::store_bytes_ = nullptr;
 
 void ExpectBitwiseEqual(const EdgePrediction& a, const EdgePrediction& b) {
@@ -169,38 +240,28 @@ void ExpectBitwiseEqual(const EdgePrediction& a, const EdgePrediction& b) {
 
 // --- Round trips ----------------------------------------------------------
 
-TEST_F(ModelStoreTest, TextBinaryTextRoundTripIsBitwise) {
-  std::unique_ptr<EdgeModel> reloaded = LoadStoreModel(*store_bytes_);
-  std::ostringstream out;
-  ASSERT_TRUE(reloaded->SaveInference(&out).ok());
-  EXPECT_EQ(out.str(), *text_checkpoint_);
+TEST_F(ModelStoreTest, StoreModelReserializesBitwise) {
+  // fp64 is canonical: a store-backed model writes back the bytes it was
+  // loaded from (what `edge_cli convert` checks at fp64).
+  for (StoreVerify verify : {StoreVerify::kFull, StoreVerify::kFast}) {
+    std::unique_ptr<EdgeModel> reloaded = LoadStoreModel(*store_bytes_, verify);
+    std::string again;
+    ASSERT_TRUE(SerializeModelStore(*reloaded, EmbedPrecision::kFp64, &again).ok());
+    EXPECT_EQ(again, *store_bytes_);
+  }
 }
 
 TEST_F(ModelStoreTest, FileRoundTripThroughLoadInferenceAuto) {
-  std::string dir = ::testing::TempDir();
-  std::string bin_path = dir + "model_store_roundtrip.bin";
+  std::string path = ::testing::TempDir() + "model_store_roundtrip.edge";
+  ASSERT_TRUE(SaveModelStoreAtomic(*model_, EmbedPrecision::kFp64, path).ok());
+  auto loaded = LoadInferenceAuto(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_NE(loaded.value()->store(), nullptr);
+  std::string again;
   ASSERT_TRUE(
-      SaveModelStoreAtomic(*model_, EmbedPrecision::kFp64, bin_path).ok());
-  EXPECT_TRUE(LooksLikeModelStore(bin_path));
-
-  auto from_bin = LoadInferenceAuto(bin_path);
-  ASSERT_TRUE(from_bin.ok()) << from_bin.status().ToString();
-  std::ostringstream bin_text;
-  ASSERT_TRUE(from_bin.value()->SaveInference(&bin_text).ok());
-  EXPECT_EQ(bin_text.str(), *text_checkpoint_);
-
-  // And the text path through the same sniffing loader.
-  std::string text_path = dir + "model_store_roundtrip.edge";
-  {
-    std::ofstream out(text_path, std::ios::binary | std::ios::trunc);
-    out << *text_checkpoint_;
-  }
-  EXPECT_FALSE(LooksLikeModelStore(text_path));
-  auto from_text = LoadInferenceAuto(text_path);
-  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-  EXPECT_EQ(from_text.value()->num_entities(), model_->num_entities());
-  std::filesystem::remove(bin_path);
-  std::filesystem::remove(text_path);
+      SerializeModelStore(*loaded.value(), EmbedPrecision::kFp64, &again).ok());
+  EXPECT_EQ(again, *store_bytes_);
+  std::filesystem::remove(path);
 }
 
 TEST_F(ModelStoreTest, SerializationIsDeterministic) {
@@ -210,30 +271,27 @@ TEST_F(ModelStoreTest, SerializationIsDeterministic) {
 
 // --- Prediction parity ----------------------------------------------------
 
-TEST_F(ModelStoreTest, StorePredictionsBitwiseMatchTextModelAtThreadBudgets) {
-  std::unique_ptr<EdgeModel> store_model = LoadStoreModel(*store_bytes_);
-  std::istringstream text_in(*text_checkpoint_);
-  auto text_model = EdgeModel::LoadInference(&text_in);
-  ASSERT_TRUE(text_model.ok()) << text_model.status().ToString();
-
+TEST_F(ModelStoreTest, StorePredictionsBitwiseMatchTrainedModelAtThreadBudgets) {
   std::vector<data::ProcessedTweet> tweets = TestTweets();
+  std::vector<EdgePrediction> trained;
+  for (const data::ProcessedTweet& tweet : tweets) {
+    trained.push_back(model_->Predict(tweet));
+  }
+  std::unique_ptr<EdgeModel> store_model = LoadStoreModel(*store_bytes_);
   for (int threads : {1, 2, 4}) {
     store_model->set_num_threads(threads);
-    text_model.value()->set_num_threads(threads);
     std::vector<EdgePrediction> from_store;
-    std::vector<EdgePrediction> from_text;
     store_model->PredictBatch(tweets, &from_store);
-    text_model.value()->PredictBatch(tweets, &from_text);
-    ASSERT_EQ(from_store.size(), from_text.size());
+    ASSERT_EQ(from_store.size(), trained.size());
     for (size_t i = 0; i < from_store.size(); ++i) {
-      ExpectBitwiseEqual(from_store[i], from_text[i]);
+      ExpectBitwiseEqual(from_store[i], trained[i]);
     }
   }
 }
 
-TEST_F(ModelStoreTest, NodeIdsAgreeWithTextCheckpoint) {
-  // The serve cache keys on entity ids; binary and text models must assign
-  // the same id to every name (vocab is stored in node-id order).
+TEST_F(ModelStoreTest, NodeIdsAgreeWithTrainedModel) {
+  // The serve cache keys on entity ids; a store-backed model must assign the
+  // trained model's id to every name (vocab is stored in node-id order).
   std::unique_ptr<EdgeModel> store_model = LoadStoreModel(*store_bytes_);
   ASSERT_EQ(store_model->num_entities(), model_->num_entities());
   for (size_t id = 0; id < model_->num_entities(); ++id) {
@@ -449,6 +507,54 @@ TEST_F(ModelStoreTest, ImplausibleDimensionsAreRejectedBeforeAllocation) {
   }
 }
 
+TEST_F(ModelStoreTest, ConfigGatesRejectImplausibleValuesAtBothVerifyTiers) {
+  // kFast does not checksum the config section, so these gates are all that
+  // stands between a corrupt config and the model; under kFull they sit
+  // behind the (re-sealed) section and manifest checksums. Each edit keeps
+  // the section's byte length, and the Status must name the gate, so a
+  // structural rejection cannot pass for a config one.
+  struct Case {
+    size_t line;
+    size_t token;
+    const char* value;
+    const char* gate;
+  };
+  const Case cases[] = {
+      {1, 0, "0", "implausible mixture component count"},
+      {1, 0, "99999999", "implausible mixture component count"},
+      {2, 0, "91", "projection origin out of range"},
+      {3, 2, "0", "non-positive fallback sigma"},
+      {4, 0, "0", "non-positive coordinate scale"},
+      // operator>> refuses "nan", so the parse gate catches it before the
+      // finiteness check could.
+      {5, 0, "nan", "unparsable config section"},
+  };
+  for (const Case& c : cases) {
+    std::string corrupt = WithConfigToken(*store_bytes_, c.line, c.token, c.value);
+    auto fast = MmapModelStore::FromBytes(corrupt, StoreVerify::kFast);
+    ASSERT_FALSE(fast.ok()) << c.value;
+    EXPECT_NE(fast.status().ToString().find(c.gate), std::string::npos)
+        << fast.status().ToString();
+    FixSectionChecksums(&corrupt, /*id=*/1);
+    auto full = MmapModelStore::FromBytes(corrupt, StoreVerify::kFull);
+    ASSERT_FALSE(full.ok()) << c.value;
+    EXPECT_NE(full.status().ToString().find(c.gate), std::string::npos)
+        << full.status().ToString();
+  }
+  // Control: the same rewrite with no value changed loads at both tiers and
+  // predicts bitwise like the original store.
+  std::string same = WithConfigToken(*store_bytes_, 1, 0,
+                                     std::to_string(model_->config().num_components));
+  FixSectionChecksums(&same, /*id=*/1);
+  std::unique_ptr<EdgeModel> original = LoadStoreModel(*store_bytes_);
+  for (StoreVerify verify : {StoreVerify::kFast, StoreVerify::kFull}) {
+    std::unique_ptr<EdgeModel> rewritten = LoadStoreModel(same, verify);
+    for (const data::ProcessedTweet& tweet : TestTweets()) {
+      ExpectBitwiseEqual(rewritten->Predict(tweet), original->Predict(tweet));
+    }
+  }
+}
+
 TEST_F(ModelStoreTest, ManifestOffsetGatesCatchRelocation) {
   {
     std::string corrupt = *store_bytes_;
@@ -505,14 +611,19 @@ TEST_F(ModelStoreTest, UnfittedModelDoesNotSerialize) {
 }
 
 TEST(ModelStoreSniffTest, MissingAndForeignFilesAreHandled) {
-  EXPECT_FALSE(LooksLikeModelStore("/nonexistent/model.bin"));
-  std::string path = ::testing::TempDir() + "model_store_foreign.bin";
+  auto missing = LoadInferenceAuto("/nonexistent/model.edge");
+  EXPECT_FALSE(missing.ok());
+  // A retired text checkpoint (no store magic) is rejected, not parsed.
+  std::string path = ::testing::TempDir() + "model_store_foreign.edge";
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "EDGE-INFERENCE v1\nnot a binary store\n";
+    out << "EDGE-INFERENCE v1\nEDGE\n4 0.5 0.90000000000000002 1\n"
+        << std::string(256, '0') << "\n";
   }
-  EXPECT_FALSE(LooksLikeModelStore(path));
-  EXPECT_FALSE(LoadInferenceAuto(path).ok());  // Text parse fails cleanly.
+  auto foreign = LoadInferenceAuto(path);
+  ASSERT_FALSE(foreign.ok());
+  EXPECT_NE(foreign.status().ToString().find("bad magic"), std::string::npos)
+      << foreign.status().ToString();
   std::filesystem::remove(path);
 }
 

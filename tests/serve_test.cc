@@ -8,7 +8,6 @@
 #include <fstream>
 #include <future>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,7 +53,7 @@ void ExpectBitwiseEqual(const core::EdgePrediction& a,
 }
 
 /// Trains one small model per test binary and hands out fresh services over
-/// checkpoint copies of it.
+/// models decoded from its fp64 edge-model.v1 bytes.
 class GeoServiceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -80,10 +79,10 @@ class GeoServiceTest : public ::testing::Test {
     core::EdgeModel model(config);
     model.Fit(processed);
 
-    std::stringstream stream;
-    Status status = model.SaveInference(&stream);
+    checkpoint_ = new std::string();
+    Status status =
+        core::SerializeModelStore(model, core::EmbedPrecision::kFp64, checkpoint_);
     EDGE_CHECK(status.ok()) << status.ToString();
-    checkpoint_ = new std::string(stream.str());
 
     // A second, distinguishable model (fewer epochs -> different weights)
     // over the same gazetteer, for the hot-reload drills.
@@ -91,10 +90,9 @@ class GeoServiceTest : public ::testing::Test {
     config2.epochs = 4;
     core::EdgeModel model2(config2);
     model2.Fit(processed);
-    std::stringstream stream2;
-    status = model2.SaveInference(&stream2);
+    checkpoint2_ = new std::string();
+    status = core::SerializeModelStore(model2, core::EmbedPrecision::kFp64, checkpoint2_);
     EDGE_CHECK(status.ok()) << status.ToString();
-    checkpoint2_ = new std::string(stream2.str());
 
     // Request texts with a mix of known entities, repeats and no-entity
     // tweets; the degenerate cases are the point of serving every request.
@@ -118,9 +116,17 @@ class GeoServiceTest : public ::testing::Test {
     gazetteer_ = nullptr;
   }
 
+  /// A fresh model over store bytes (a checkpoint held in memory).
+  static std::unique_ptr<core::EdgeModel> ModelFrom(const std::string& store) {
+    auto mapped = core::MmapModelStore::FromBytes(store);
+    EDGE_CHECK(mapped.ok()) << mapped.status().ToString();
+    auto model = core::EdgeModel::LoadFromStore(std::move(mapped).value());
+    EDGE_CHECK(model.ok()) << model.status().ToString();
+    return std::move(model).value();
+  }
+
   static std::unique_ptr<GeoService> MakeService(GeoServiceOptions options) {
-    std::stringstream stream(*checkpoint_);
-    auto service = GeoService::Create(&stream, *gazetteer_, options);
+    auto service = GeoService::Create(ModelFrom(*checkpoint_), *gazetteer_, options);
     EDGE_CHECK(service.ok()) << service.status().ToString();
     return std::move(service).value();
   }
@@ -162,16 +168,28 @@ TEST_F(GeoServiceTest, OptionsValidation) {
   options.predict_threads = -2;
   EXPECT_FALSE(options.Validate().ok());
 
-  std::stringstream stream(*checkpoint_);
   options = GeoServiceOptions();
   options.max_batch = 0;
-  auto service = GeoService::Create(&stream, *gazetteer_, options);
+  auto service = GeoService::Create(ModelFrom(*checkpoint_), *gazetteer_, options);
   EXPECT_FALSE(service.ok());
 }
 
+/// Writes `store` bytes to a temp file and returns its path.
+std::string WriteStore(const std::string& store, const std::string& name) {
+  std::string path = ::testing::TempDir() + "/" + name;
+  Status status = WriteFileAtomic(path, store);
+  EDGE_CHECK(status.ok()) << status.ToString();
+  return path;
+}
+
 TEST_F(GeoServiceTest, CreateRejectsCorruptCheckpoint) {
-  std::stringstream bad(checkpoint_->substr(0, checkpoint_->size() / 2));
-  auto service = GeoService::Create(&bad, *gazetteer_, GeoServiceOptions());
+  // A torn checkpoint never becomes a model, so no service starts on it; and
+  // Create itself refuses a missing model.
+  std::string path = WriteStore(checkpoint_->substr(0, checkpoint_->size() / 2),
+                                "serve_create_torn.edge");
+  EXPECT_FALSE(core::LoadInferenceAuto(path).ok());
+  std::filesystem::remove(path);
+  auto service = GeoService::Create(nullptr, *gazetteer_, GeoServiceOptions());
   EXPECT_FALSE(service.ok());
 }
 
@@ -262,8 +280,7 @@ TEST_F(GeoServiceTest, CompletionNotifierFiresAfterServedAndExpiredBatches) {
   options.max_batch = 64;
   options.cache_capacity = 0;
   NotifyProbe probe;
-  std::stringstream stream(*checkpoint_);
-  auto created = GeoService::Create(&stream, *gazetteer_, options,
+  auto created = GeoService::Create(ModelFrom(*checkpoint_), *gazetteer_, options,
                                     [&probe] { probe.OnBatchDone(); });
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   std::unique_ptr<GeoService> service = std::move(created).value();
@@ -500,8 +517,7 @@ TEST_F(GeoServiceTest, HotReloadSwapsModelUnderConcurrentLoad) {
     });
   }
 
-  std::stringstream fresh(*checkpoint2_);
-  Status status = service->ReloadCheckpoint(&fresh);
+  Status status = service->AdoptReloadedModel(ModelFrom(*checkpoint2_));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   running = false;
   for (std::thread& client : clients) client.join();
@@ -522,32 +538,31 @@ TEST_F(GeoServiceTest, HotReloadSwapsModelUnderConcurrentLoad) {
 // A corrupt checkpoint must be rejected by the same gates as startup, and
 // the old model keeps serving unchanged.
 TEST_F(GeoServiceTest, HotReloadCorruptCheckpointRollsBack) {
+  fault::Disarm();
   GeoServiceOptions options;
   options.cache_capacity = 0;
   std::unique_ptr<GeoService> service = MakeService(options);
   auto old_model = service->model();
   core::EdgePrediction before = service->Predict((*texts_)[0]).prediction;
 
-  std::stringstream corrupt(checkpoint_->substr(0, checkpoint_->size() / 3));
-  Status status = service->ReloadCheckpoint(&corrupt);
-  EXPECT_FALSE(status.ok());
+  const std::string corrupt[] = {checkpoint_->substr(0, checkpoint_->size() / 3),
+                                 "not a checkpoint at all"};
+  for (const std::string& bytes : corrupt) {
+    std::string path = WriteStore(bytes, "serve_reload_corrupt.edge");
+    EXPECT_FALSE(service->ReloadFromFile(path).ok());
+    std::filesystem::remove(path);
+    EXPECT_EQ(service->model_generation(), 1u);
+    EXPECT_EQ(service->model().get(), old_model.get());
+    ExpectBitwiseEqual(service->Predict((*texts_)[0]).prediction, before);
+  }
+  EXPECT_FALSE(service->AdoptReloadedModel(nullptr).ok());
   EXPECT_EQ(service->model_generation(), 1u);
-  EXPECT_EQ(service->model().get(), old_model.get());
-  ExpectBitwiseEqual(service->Predict((*texts_)[0]).prediction, before);
-
-  std::stringstream garbage("not a checkpoint at all");
-  EXPECT_FALSE(service->ReloadCheckpoint(&garbage).ok());
   ExpectBitwiseEqual(service->Predict((*texts_)[0]).prediction, before);
 }
 
 TEST_F(GeoServiceTest, ReloadFromFileRetriesTransientReadFaults) {
   fault::Disarm();
-  std::string path = ::testing::TempDir() + "/serve_reload_model.edge";
-  {
-    std::ofstream out(path);
-    out << *checkpoint2_;
-    ASSERT_TRUE(out.good());
-  }
+  std::string path = WriteStore(*checkpoint2_, "serve_reload_model.edge");
   GeoServiceOptions options;
   std::unique_ptr<GeoService> service = MakeService(options);
   ASSERT_TRUE(fault::Configure("io.checkpoint.read=error,times=2"));
@@ -572,42 +587,21 @@ TEST_F(GeoServiceTest, ResponsesCarryTheProducingModel) {
   ASSERT_NE(response.model, nullptr);
   EXPECT_EQ(response.model.get(), service->model().get());
 
-  std::stringstream fresh(*checkpoint2_);
-  ASSERT_TRUE(service->ReloadCheckpoint(&fresh).ok());
+  ASSERT_TRUE(service->AdoptReloadedModel(ModelFrom(*checkpoint2_)).ok());
   // The old response still renders against its own (retained) model.
   EXPECT_NE(response.model.get(), service->model().get());
   std::string line = ResponseToJsonLine(response, *response.model, "old");
   EXPECT_NE(line.find("\"point\""), std::string::npos);
 }
 
-// --- edge-model.v1 hot reload (model-store tentpole) ----------------------
+// --- edge-model.v1 hot reload from a file --------------------------------
 
-/// Writes `text_checkpoint` as a binary fp64 edge-model.v1 file and returns
-/// its path.
-std::string WriteBinaryStore(const std::string& text_checkpoint,
-                             const std::string& name) {
-  std::stringstream in(text_checkpoint);
-  auto model = core::EdgeModel::LoadInference(&in);
-  EDGE_CHECK(model.ok()) << model.status().ToString();
-  std::string path = ::testing::TempDir() + "/" + name;
-  Status status = core::SaveModelStoreAtomic(*model.value(),
-                                             core::EmbedPrecision::kFp64, path);
-  EDGE_CHECK(status.ok()) << status.ToString();
-  return path;
-}
-
-// Reloading from a binary store must answer bitwise-identically to reloading
-// from the equivalent text checkpoint, at every worker budget — PR-4's
-// determinism contract is format-independent.
-TEST_F(GeoServiceTest, BinaryReloadMatchesTextReloadBitwise) {
+// Reloading from a store file (mmap'd, full or fast verify) must answer
+// bitwise-identically to adopting a model decoded from the same bytes in
+// memory (scenario replay's reload), at every worker budget.
+TEST_F(GeoServiceTest, BinaryReloadMatchesInMemoryReloadBitwise) {
   fault::Disarm();
-  std::string text_path = ::testing::TempDir() + "/binary_parity_model.edge";
-  {
-    std::ofstream out(text_path, std::ios::binary | std::ios::trunc);
-    out << *checkpoint2_;
-    ASSERT_TRUE(out.good());
-  }
-  std::string bin_path = WriteBinaryStore(*checkpoint2_, "binary_parity_model.bin");
+  std::string bin_path = WriteStore(*checkpoint2_, "binary_parity_model.edge");
 
   for (size_t workers : {size_t{1}, size_t{4}}) {
     GeoServiceOptions options;
@@ -616,27 +610,26 @@ TEST_F(GeoServiceTest, BinaryReloadMatchesTextReloadBitwise) {
     // kFast is the O(1) map-and-swap path; parity must hold there too.
     options.model_store_verify = workers == 1 ? core::StoreVerify::kFull
                                               : core::StoreVerify::kFast;
-    std::unique_ptr<GeoService> from_text = MakeService(options);
-    std::unique_ptr<GeoService> from_binary = MakeService(options);
-    ASSERT_TRUE(from_text->ReloadFromFile(text_path).ok());
-    ASSERT_TRUE(from_binary->ReloadFromFile(bin_path).ok());
-    EXPECT_EQ(from_text->model_generation(), 2u);
-    EXPECT_EQ(from_binary->model_generation(), 2u);
+    std::unique_ptr<GeoService> in_memory = MakeService(options);
+    std::unique_ptr<GeoService> from_file = MakeService(options);
+    ASSERT_TRUE(in_memory->AdoptReloadedModel(ModelFrom(*checkpoint2_)).ok());
+    ASSERT_TRUE(from_file->ReloadFromFile(bin_path).ok());
+    EXPECT_EQ(in_memory->model_generation(), 2u);
+    EXPECT_EQ(from_file->model_generation(), 2u);
     for (size_t i = 0; i < std::min<size_t>(texts_->size(), 24); ++i) {
       const std::string& text = (*texts_)[i];
-      ExpectBitwiseEqual(from_binary->Predict(text).prediction,
-                         from_text->Predict(text).prediction);
+      ExpectBitwiseEqual(from_file->Predict(text).prediction,
+                         in_memory->Predict(text).prediction);
     }
   }
-  std::filesystem::remove(text_path);
   std::filesystem::remove(bin_path);
 }
 
 // In-flight responses keep rendering on the model that produced them across
-// a binary map-and-swap, exactly as across a text reload.
+// a map-and-swap reload.
 TEST_F(GeoServiceTest, ResponsesCarryProducingModelAcrossBinaryReload) {
   fault::Disarm();
-  std::string bin_path = WriteBinaryStore(*checkpoint2_, "binary_inflight.bin");
+  std::string bin_path = WriteStore(*checkpoint2_, "binary_inflight.edge");
   GeoServiceOptions options;
   options.cache_capacity = 16;
   options.model_store_verify = core::StoreVerify::kFast;
@@ -659,11 +652,11 @@ TEST_F(GeoServiceTest, ResponsesCarryProducingModelAcrossBinaryReload) {
   std::filesystem::remove(bin_path);
 }
 
-// A corrupt binary store is rejected by the Open gates and the old model
-// keeps serving unchanged — same rollback contract as text checkpoints.
+// A corrupt store is rejected by the Open gates and the old model keeps
+// serving unchanged.
 TEST_F(GeoServiceTest, BinaryReloadCorruptStoreRollsBack) {
   fault::Disarm();
-  std::string bin_path = WriteBinaryStore(*checkpoint2_, "binary_corrupt.bin");
+  std::string bin_path = WriteStore(*checkpoint2_, "binary_corrupt.edge");
   std::string bytes;
   ASSERT_TRUE(ReadFileToString(bin_path, &bytes).ok());
   for (size_t flip : {bytes.size() / 3, bytes.size() / 2}) {
@@ -684,12 +677,13 @@ TEST_F(GeoServiceTest, BinaryReloadCorruptStoreRollsBack) {
   std::filesystem::remove(bin_path);
 }
 
-// The response cache is keyed per model generation: after a binary reload a
+// The response cache is keyed per model generation: after a reload a
 // repeated request must be answered by the new model, never the cached old
-// response (ids agree across formats, so this is the gate that protects it).
+// response (both models number the same entities alike, so this is the gate
+// that protects it).
 TEST_F(GeoServiceTest, CacheServesNewModelAfterBinaryReload) {
   fault::Disarm();
-  std::string bin_path = WriteBinaryStore(*checkpoint2_, "binary_cachegen.bin");
+  std::string bin_path = WriteStore(*checkpoint2_, "binary_cachegen.edge");
   GeoServiceOptions options;
   options.cache_capacity = 64;
   options.model_store_verify = core::StoreVerify::kFast;
@@ -879,8 +873,7 @@ TEST_F(GeoServiceTest, StatsAndHealthSnapshotsAndJson) {
 
   // A reload shows up as generation 2 / one reload, and uptime keeps
   // counting from construction (a reload is not a restart).
-  std::stringstream fresh(*checkpoint2_);
-  ASSERT_TRUE(service->ReloadCheckpoint(&fresh).ok());
+  ASSERT_TRUE(service->AdoptReloadedModel(ModelFrom(*checkpoint2_)).ok());
   HealthSnapshot after = service->Health();
   EXPECT_EQ(after.model_generation, 2u);
   EXPECT_EQ(after.reloads, 1u);
@@ -1104,6 +1097,59 @@ TEST_F(GeoServiceTest, ServeSessionAnswersInOrder) {
   EXPECT_NE(out[3].find("exceeds maximum length"), std::string::npos);
   EXPECT_NE(out[3].find("\"line\":4"), std::string::npos);
   EXPECT_NE(out[4].find("\"point\""), std::string::npos);
+}
+
+// A reload line divides its stream: every answer before the acknowledgement
+// comes from the old model and every answer after it from the new one, even
+// when the earlier requests are still queued as the reload line arrives — a
+// map-and-swap reload is fast enough to overtake them otherwise.
+TEST_F(GeoServiceTest, ServeSessionReloadWaitsForEarlierAnswers) {
+  fault::Disarm();
+  std::string path = WriteStore(*checkpoint2_, "session_reload.edge");
+  GeoServiceOptions options;
+  options.cache_capacity = 0;
+  ServeSessionOptions session_options;
+  session_options.include_latency = false;
+  const size_t kHalf = 8;
+  std::vector<std::string> before(texts_->begin(), texts_->begin() + kHalf);
+  std::vector<std::string> after(texts_->begin() + kHalf, texts_->begin() + 2 * kHalf);
+
+  // What each model answers on its own, one service per model.
+  auto answers = [&](const std::string& store, const std::vector<std::string>& lines) {
+    auto created = GeoService::Create(ModelFrom(store), *gazetteer_, options);
+    EDGE_CHECK(created.ok()) << created.status().ToString();
+    ServeSession session(created.value().get(), session_options);
+    for (const std::string& line : lines) session.HandleLine(line);
+    std::vector<std::string> out;
+    session.DrainAll(&out);
+    return out;
+  };
+  std::vector<std::string> old_before = answers(*checkpoint_, before);
+  std::vector<std::string> new_after = answers(*checkpoint2_, after);
+  ASSERT_NE(old_before, answers(*checkpoint2_, before))
+      << "the two models must disagree for this test to discriminate";
+
+  std::unique_ptr<GeoService> service = MakeService(options);
+  ServeSession session(service.get(), session_options);
+  service->PauseWorkersForTest();
+  for (const std::string& line : before) session.HandleLine(line);
+  // The workers stay frozen past the reload line's arrival; the session must
+  // wait for them rather than swap under the queued requests.
+  std::thread resume([&service] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    service->ResumeWorkers();
+  });
+  session.HandleLine(R"({"reload": ")" + path + R"(", "id": "swap"})");
+  resume.join();
+  for (const std::string& line : after) session.HandleLine(line);
+  std::vector<std::string> out;
+  session.DrainAll(&out);
+  std::filesystem::remove(path);
+
+  ASSERT_EQ(out.size(), 2 * kHalf + 1);
+  for (size_t i = 0; i < kHalf; ++i) EXPECT_EQ(out[i], old_before[i]) << i;
+  EXPECT_NE(out[kHalf].find(R"("reload":"ok")"), std::string::npos) << out[kHalf];
+  for (size_t i = 0; i < kHalf; ++i) EXPECT_EQ(out[kHalf + 1 + i], new_after[i]) << i;
 }
 
 TEST_F(GeoServiceTest, ResponseJsonIsWellFormedAndEchoesId) {

@@ -88,7 +88,7 @@ TEST(SystemSnapshotTest, EntityGraphSectionRoundTripsWithEdgeWeights) {
   for (size_t a = 0; a < snapshot.graph.num_nodes(); ++a) {
     EXPECT_EQ(parsed.value().NodeName(a), snapshot.graph.NodeName(a));
     for (const auto& [b, w] : snapshot.graph.Neighbors(a)) {
-      // Exact weights: this is what EDGE-INFERENCE alone cannot preserve.
+      // Exact weights: the model store carries node names only.
       EXPECT_EQ(parsed.value().EdgeWeight(a, b), w);
     }
   }
@@ -160,8 +160,8 @@ TEST(SystemSnapshotTest, SaveLoadRoundTripsEverySection) {
             SerializeEntityGraph(snapshot.graph));
   EXPECT_EQ(SerializeServeOptions(loaded.value().serve_options),
             SerializeServeOptions(snapshot.serve_options));
-  // The model checkpoint travels as raw bytes — exact, not re-encoded.
-  EXPECT_EQ(loaded.value().model_checkpoint, snapshot.model_checkpoint);
+  // The model store travels as raw bytes — exact, not re-encoded.
+  EXPECT_EQ(loaded.value().model_store, snapshot.model_store);
   EXPECT_EQ(loaded.value().rng.state, snapshot.rng.state);
   EXPECT_EQ(loaded.value().rng.inc, snapshot.rng.inc);
   EXPECT_EQ(loaded.value().has_train_state, snapshot.has_train_state);
@@ -232,8 +232,7 @@ TEST(SystemSnapshotTest, SectionTruncationsAndBitFlipsAreRejected) {
   std::string dir = TempDir("snapshot_section_fuzz");
   ASSERT_TRUE(SaveSystemSnapshot(Fixture(), dir).ok());
   const char* sections[] = {"world.section", "rng.section",   "vocab.section",
-                            "graph.section", "model.section", "serve.section",
-                            "modelbin.section"};
+                            "graph.section", "model.section", "serve.section"};
   for (const char* section : sections) {
     std::string path = dir + "/" + std::string(section);
     std::string bytes;
@@ -267,43 +266,14 @@ TEST(SystemSnapshotTest, SectionTruncationsAndBitFlipsAreRejected) {
   }
 }
 
-TEST(SystemSnapshotTest, ModelBinSectionRoundTripsAndValidates) {
-  const SystemSnapshot& snapshot = Fixture();
-  // Capture embeds the fp64 binary store alongside the text checkpoint.
-  ASSERT_FALSE(snapshot.model_store.empty());
-  auto store = core::MmapModelStore::FromBytes(snapshot.model_store,
-                                               core::StoreVerify::kFull);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-
-  std::string dir = TempDir("snapshot_modelbin");
-  ASSERT_TRUE(SaveSystemSnapshot(snapshot, dir).ok());
-  Result<SystemSnapshot> loaded = LoadSystemSnapshot(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // Raw bytes, bit-exact — same contract as the text model section.
-  EXPECT_EQ(loaded.value().model_store, snapshot.model_store);
-}
-
-TEST(SystemSnapshotTest, SnapshotWithoutModelBinStillLoads) {
-  // Pre-PR-8 snapshots have no modelbin section; they must keep loading.
-  SystemSnapshot snapshot = Fixture();
-  snapshot.model_store.clear();
-  std::string dir = TempDir("snapshot_no_modelbin");
-  ASSERT_TRUE(SaveSystemSnapshot(snapshot, dir).ok());
-  EXPECT_FALSE(std::filesystem::exists(dir + "/modelbin.section"));
-  Result<SystemSnapshot> loaded = LoadSystemSnapshot(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded.value().model_store.empty());
-  EXPECT_EQ(loaded.value().model_checkpoint, snapshot.model_checkpoint);
-}
-
-TEST(SystemSnapshotTest, ModelBinVocabularyMismatchIsRejected) {
-  // A modelbin section that is internally valid (every checksum intact) but
-  // names a different entity set must fail the name-for-name cross-check
-  // against the model section — mismatched captures are exactly the
-  // corruption per-file checksums cannot see. Surgery: rewrite the last
-  // byte of the lexicographically-last vocab name to 0x7f (keeps the sorted
-  // index strictly ordered and every offset unchanged), then re-checksum the
-  // vocab section and the manifest so the store still passes kFull.
+TEST(SystemSnapshotTest, ModelSectionVocabularyMismatchIsRejected) {
+  // A model section that is a valid store (every checksum intact) but names
+  // a different entity set must fail the name-for-name check against the
+  // graph section — mismatched captures are exactly the corruption per-file
+  // checksums cannot see. Surgery: rewrite the last byte of the
+  // lexicographically-last vocab name to 0x7f (keeps the sorted index
+  // strictly ordered and every offset unchanged), then re-checksum the vocab
+  // section and the manifest so the store still passes kFull.
   SystemSnapshot doctored = Fixture();
   std::string bytes = doctored.model_store;
   ASSERT_GT(bytes.size(), 128u);
@@ -321,6 +291,7 @@ TEST(SystemSnapshotTest, ModelBinVocabularyMismatchIsRejected) {
   size_t vocab_entry = 0;
   uint64_t vocab_offset = 0;
   uint64_t vocab_size = 0;
+  uint64_t index_offset = 0;
   for (uint32_t s = 0; s < section_count; ++s) {
     size_t entry = manifest_offset + s * 32;
     uint32_t id = 0;
@@ -329,23 +300,19 @@ TEST(SystemSnapshotTest, ModelBinVocabularyMismatchIsRejected) {
       vocab_entry = entry;
       vocab_offset = read_u64(entry + 8);
       vocab_size = read_u64(entry + 16);
+    } else if (id == 3) {  // kVocabIndex: node ids sorted by name.
+      index_offset = read_u64(entry + 8);
     }
   }
   ASSERT_GT(vocab_size, 0u);
+  ASSERT_GT(index_offset, 0u);
   uint64_t count = read_u64(vocab_offset);
-  uint64_t blob_bytes = read_u64(vocab_offset + 8);
   ASSERT_GT(count, 0u);
-  ASSERT_GT(blob_bytes, 0u);
-  size_t blob_begin = vocab_offset + 16 + (count + 1) * 8;
-  // The blob is in node-id order; the lexicographically-last name ends
-  // wherever its offset entry says, but its *last byte* is enough: find the
-  // max byte position by scanning offsets for the sorted-last name via the
-  // index section is overkill — rewriting the blob's final byte only works
-  // if that name is sorted-last. Instead, bump EVERY name's last byte is
-  // unsafe; so patch the final blob byte AND accept either failure mode
-  // below (cross-check, or a kFull ordering rejection).
-  size_t target = blob_begin + blob_bytes - 1;
-  bytes[target] = '\x7f';
+  uint64_t last_id = read_u64(index_offset + (count - 1) * 8);
+  ASSERT_LT(last_id, count);
+  size_t offsets = vocab_offset + 16;
+  size_t blob_begin = offsets + (count + 1) * 8;
+  bytes[blob_begin + read_u64(offsets + (last_id + 1) * 8) - 1] = '\x7f';
   // Re-checksum: vocab section FNV lives at entry+24; the manifest trailer
   // FNV covers all entries and sits right before end-of-file.
   write_u64(vocab_entry + 24,
@@ -353,12 +320,37 @@ TEST(SystemSnapshotTest, ModelBinVocabularyMismatchIsRejected) {
   write_u64(manifest_offset + section_count * 32,
             Fnv1a64Bytes(bytes.data() + manifest_offset, section_count * 32));
   doctored.model_store = bytes;
+  ASSERT_TRUE(core::MmapModelStore::FromBytes(bytes, core::StoreVerify::kFull).ok());
 
-  std::string dir = TempDir("snapshot_modelbin_mismatch");
+  std::string dir = TempDir("snapshot_model_vocab_mismatch");
   ASSERT_TRUE(SaveSystemSnapshot(doctored, dir).ok());
   Result<SystemSnapshot> loaded = LoadSystemSnapshot(dir);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().ToString().find("modelbin"), std::string::npos)
+  EXPECT_NE(loaded.status().ToString().find(
+                "model and graph sections disagree at node " + std::to_string(last_id)),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(SystemSnapshotTest, V1ManifestIsRejectedNamingItsVersion) {
+  // v1 snapshots carried the model as a text checkpoint, which nothing reads
+  // any more: a v1 manifest (checksum intact) must be refused by version,
+  // not misparsed.
+  std::string dir = TempDir("snapshot_v1_manifest");
+  ASSERT_TRUE(SaveSystemSnapshot(Fixture(), dir).ok());
+  std::string manifest;
+  ASSERT_TRUE(ReadFileToString(dir + "/MANIFEST", &manifest).ok());
+  ASSERT_EQ(manifest.rfind("EDGE-SNAPSHOT v2\n", 0), 0u) << manifest;
+  std::string body = manifest.substr(0, manifest.rfind("END "));
+  body.replace(0, 16, "EDGE-SNAPSHOT v1");
+  {
+    std::ofstream out(dir + "/MANIFEST", std::ios::binary | std::ios::trunc);
+    out << body << "END " << ToHex16(Fnv1a64(body)) << "\n";
+  }
+  Result<SystemSnapshot> loaded = LoadSystemSnapshot(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().ToString().find("unsupported snapshot version v1"),
+            std::string::npos)
       << loaded.status().ToString();
 }
 

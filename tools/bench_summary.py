@@ -43,21 +43,20 @@ def main():
     store = load(root, "BENCH_model_store.json")
     rows = []
     for r in store.get("cold_load", []):
-        speedup = r["text_ms"] / max(r["mmap_fast_ms"], 1e-9)
+        speedup = r["binary_full_ms"] / max(r["mmap_fast_ms"], 1e-9)
         rows.append(
             (
                 r["entities"],
-                f'{r["text_ms"]:.1f}',
+                r["binary_bytes"],
                 f'{r["binary_full_ms"]:.2f}',
                 f'{r["mmap_fast_ms"]:.3f}',
                 f"{speedup:.0f}x",
-                f'{r["text_rss_kib"]} KiB',
                 f'{r["mmap_rss_kib"]} KiB',
             )
         )
     table(
-        "model store: cold load (text parse vs binary verify vs mmap)",
-        ("entities", "text ms", "full ms", "mmap ms", "speedup", "text RSS", "mmap RSS"),
+        "model store: cold load (full verify vs mmap fast verify)",
+        ("entities", "bytes", "full ms", "mmap ms", "speedup", "mmap RSS"),
         rows,
     )
 

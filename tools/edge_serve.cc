@@ -12,8 +12,7 @@
 ///   edge_serve --model m.edge --gazetteer g.tsv --listen 7070   # TCP mode
 ///
 /// Flags:
-///   --model m.edge          checkpoint, text EDGE-INFERENCE or binary
-///                           edge-model.v1, sniffed by magic (required)
+///   --model m.edge          edge-model.v1 checkpoint (required)
 ///   --gazetteer g.tsv       NER dictionary (required)
 ///   --listen PORT           serve LDJSON over TCP instead of stdin/stdout;
 ///                           PORT 0 binds an ephemeral port. The bound
@@ -25,8 +24,8 @@
 ///                           function of the request stream (default false)
 ///   --max-line-bytes N      reject request lines longer than this (both
 ///                           modes; default 1 MiB)
-///   --store-verify full|fast  binary-store validation depth (default full;
-///                           fast makes binary hot reload O(1) map-and-swap)
+///   --store-verify full|fast  store validation depth (default full; fast
+///                           makes hot reload an O(1) map-and-swap)
 ///   --max-batch N           most requests per worker batch    (default 16)
 ///   --workers N             batch worker threads              (default 1)
 ///   --queue-capacity N      admission queue bound             (default 1024)
@@ -415,8 +414,7 @@ int main(int argc, char** argv) {
   }
   const net::Waker* wake = waker.value().get();
 
-  // The initial load goes through the same sniffing path as hot reload, so
-  // --model accepts either checkpoint format.
+  // The initial load opens and verifies the store exactly as hot reload does.
   auto model = core::LoadInferenceAuto(model_path, options.model_store_verify);
   if (!model.ok()) {
     std::fprintf(stderr, "cannot load %s: %s\n", model_path.c_str(),

@@ -20,9 +20,6 @@ Status EdgeConfig::Validate() const {
   if (num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0 (0 = hardware)");
   }
-  if (entity2vec.num_threads < 0) {
-    return Status::InvalidArgument("entity2vec.num_threads must be >= 0");
-  }
   if (recovery.checkpoint_every <= 0) {
     return Status::InvalidArgument("recovery.checkpoint_every must be > 0");
   }

@@ -131,10 +131,9 @@ struct EdgeConfig {
   /// Worker-thread budget for Fit() and batched prediction: 0 = hardware
   /// concurrency, 1 = exact single-threaded legacy behaviour (default),
   /// n > 1 = at most n-way. The dense/sparse kernels are bitwise
-  /// deterministic at every budget (see edge/common/thread_pool.h), so any
-  /// value reproduces the num_threads = 1 numbers; the one schedule that can
-  /// change results — entity2vec Hogwild sharding — additionally requires
-  /// entity2vec.deterministic = false.
+  /// deterministic at every budget (see edge/common/thread_pool.h) and
+  /// entity2vec always trains serially, so any value reproduces the
+  /// num_threads = 1 numbers.
   int num_threads = 1;
 
   /// Checks internal consistency.

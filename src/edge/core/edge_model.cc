@@ -7,14 +7,17 @@
 
 #include "edge/common/file_util.h"
 #include "edge/common/math_util.h"
-#include "edge/core/model_store.h"
 #include "edge/common/rng.h"
 #include "edge/common/stopwatch.h"
 #include "edge/common/thread_pool.h"
+#include "edge/core/model_store.h"
 #include "edge/core/train_checkpoint.h"
+#include "edge/embedding/entity2vec.h"
 #include "edge/fault/fault.h"
+#include "edge/graph/gcn.h"
 #include "edge/nn/autodiff.h"
 #include "edge/nn/init.h"
+#include "edge/nn/layers.h"
 #include "edge/nn/mdn.h"
 #include "edge/nn/optimizer.h"
 #include "edge/obs/log.h"
@@ -50,51 +53,32 @@ const geo::LocalProjection& EdgeModel::projection() const {
   return *projection_;
 }
 
+static_assert(MmapModelStore::kNotFound == graph::EntityGraph::kNotFound,
+              "NodeIdOf answers in the entity graph's id space");
+
 size_t EdgeModel::NodeIdOf(std::string_view name) const {
-  if (store_ != nullptr) {
-    size_t id = store_->NodeId(name);
-    return id == MmapModelStore::kNotFound ? graph::EntityGraph::kNotFound : id;
-  }
-  return graph_.NodeId(name);
+  EDGE_CHECK(store_ != nullptr) << "NodeIdOf() before Fit()";
+  return store_->NodeId(name);
 }
 
 std::string_view EdgeModel::NodeNameOf(size_t id) const {
-  if (store_ != nullptr) return store_->NodeName(id);
-  return graph_.NodeName(id);
+  EDGE_CHECK(store_ != nullptr) << "NodeNameOf() before Fit()";
+  return store_->NodeName(id);
 }
 
 size_t EdgeModel::num_entities() const {
-  return store_ != nullptr ? store_->num_nodes() : graph_.num_nodes();
+  EDGE_CHECK(store_ != nullptr) << "num_entities() before Fit()";
+  return store_->num_nodes();
 }
 
-size_t EdgeModel::hidden_dim() const {
-  return store_ != nullptr ? store_->hidden() : smoothed_embeddings_.cols();
-}
-
-nn::ConstRowSpan EdgeModel::EmbeddingRowOf(size_t node,
-                                           std::vector<double>* scratch) const {
-  if (store_ != nullptr) return store_->EmbeddingRow(node, scratch);
-  return smoothed_embeddings_.RowSpan(node);
-}
-
-std::vector<size_t> EdgeModel::GraphIds(const data::ProcessedTweet& tweet) const {
-  std::vector<size_t> ids;
-  for (const text::Entity& e : tweet.entities) {
-    size_t id = NodeIdOf(e.name);
-    if (id != graph::EntityGraph::kNotFound) ids.push_back(id);
-  }
-  // Canonical ascending-id order: attention/aggregation are mathematically
-  // permutation-invariant, but fixing the floating-point summation order
-  // makes the prediction a pure function of the entity set (not the mention
-  // order) — the property the serve-layer cache keys on.
-  std::sort(ids.begin(), ids.end());
-  return ids;
+void EdgeModel::Adopt(std::shared_ptr<const MmapModelStore> store) {
+  projection_ = std::make_unique<geo::LocalProjection>(store->head().origin);
+  store_ = std::move(store);
 }
 
 void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
-  EDGE_CHECK(!fitted_) << "Fit() may only be called once";
+  EDGE_CHECK(store_ == nullptr) << "Fit() may only be called once";
   EDGE_CHECK(!dataset.train.empty()) << "empty training split";
-  fitted_ = true;
   EDGE_TRACE_SPAN("edge.core.fit");
   Stopwatch fit_watch;
   EDGE_LOG(INFO) << "fit start" << obs::Kv("model", config_.display_name)
@@ -117,16 +101,13 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
   embedding::Entity2VecOptions e2v_options = config_.entity2vec;
   e2v_options.dim = config_.embedding_dim;
   e2v_options.seed = config_.seed ^ 0x9e3779b97f4a7c15ULL;
-  // The model-level budget wins; whether shards actually run concurrently is
-  // still gated by e2v_options.deterministic (default: stay reproducible).
-  e2v_options.num_threads = config_.num_threads;
-  entity2vec_ = std::make_unique<embedding::Entity2Vec>(e2v_options);
+  embedding::Entity2Vec entity2vec(e2v_options);
   {
     EDGE_TRACE_SPAN("edge.core.fit.entity2vec");
     std::vector<std::vector<std::string>> corpus;
     corpus.reserve(dataset.train.size());
     for (const data::ProcessedTweet& t : dataset.train) corpus.push_back(t.tokens);
-    entity2vec_->Train(corpus);
+    entity2vec.Train(corpus);
   }
 
   // --- Stage 2: co-occurrence entity graph (§III-A2). ---
@@ -142,7 +123,7 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
     }
     graph_ = graph::EntityGraph::Build(entity_sets);
   }
-  normalized_adjacency_ = graph_.NormalizedAdjacency();
+  nn::CsrMatrix adjacency = graph_.NormalizedAdjacency();
 
   // Node features: entity2vec rows (the paper's design) or one-hot identity
   // (the kIdentity ablation). Entities the embedder never saw (e.g.
@@ -157,7 +138,7 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
     }
   } else {
     for (size_t node = 0; node < graph_.num_nodes(); ++node) {
-      std::vector<double> emb = entity2vec_->EmbeddingOf(graph_.NodeName(node));
+      std::vector<double> emb = entity2vec.EmbeddingOf(graph_.NodeName(node));
       if (emb.empty()) {
         for (size_t d = 0; d < feature_dim; ++d) {
           features.At(node, d) = rng.Normal(0.0, 0.01);
@@ -169,11 +150,20 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
   }
 
   // --- Stage 3: targets in the local km plane. ---
-  projection_ = std::make_unique<geo::LocalProjection>(dataset.region.Center());
+  // The inference state is collected in `head` as each value is computed;
+  // stage 6 encodes it.
+  ModelHead head;
+  head.display_name = config_.display_name;
+  head.num_components = config_.num_components;
+  head.sigma_min_km = config_.sigma_min_km;
+  head.rho_max = config_.rho_max;
+  head.use_attention = config_.use_attention;
+  head.origin = dataset.region.Center();
+  geo::LocalProjection projection(head.origin);
   std::vector<geo::PlanePoint> targets;
   targets.reserve(dataset.train.size());
   for (const data::ProcessedTweet& t : dataset.train) {
-    targets.push_back(projection_->ToPlane(t.location));
+    targets.push_back(projection.ToPlane(t.location));
   }
   {
     double sx = 0.0;
@@ -182,24 +172,24 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
       sx += p.x;
       sy += p.y;
     }
-    fallback_mean_ = {sx / static_cast<double>(targets.size()),
-                      sy / static_cast<double>(targets.size())};
+    head.fallback_mean = {sx / static_cast<double>(targets.size()),
+                          sy / static_cast<double>(targets.size())};
+    const geo::PlanePoint& mean = head.fallback_mean;
     double var = 0.0;
     for (const geo::PlanePoint& p : targets) {
-      var += (p.x - fallback_mean_.x) * (p.x - fallback_mean_.x) +
-             (p.y - fallback_mean_.y) * (p.y - fallback_mean_.y);
+      var += (p.x - mean.x) * (p.x - mean.x) + (p.y - mean.y) * (p.y - mean.y);
     }
-    fallback_sigma_km_ =
+    head.fallback_sigma_km =
         std::max(1.0, std::sqrt(var / (2.0 * static_cast<double>(targets.size()))));
-    // Standardize: train the MDN in units of the data spread (see header).
-    coord_scale_km_ = fallback_sigma_km_;
+    // Standardize: train the MDN in units of the data spread (ModelHead).
+    head.coord_scale_km = head.fallback_sigma_km;
     for (geo::PlanePoint& p : targets) {
-      p.x /= coord_scale_km_;
-      p.y /= coord_scale_km_;
+      p.x /= head.coord_scale_km;
+      p.y /= head.coord_scale_km;
     }
   }
 
-  graph::GcnInput gcn_input(&normalized_adjacency_, std::move(features));
+  graph::GcnInput gcn_input(&adjacency, std::move(features));
 
   // --- Stage 4: trainable parameters. ---
   std::vector<size_t> dims = {feature_dim};
@@ -224,7 +214,7 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
       max_y = std::max(max_y, p.y);
     }
     size_t mc = config_.num_components;
-    double sigma_init = SoftplusInverse(2.0 / coord_scale_km_);
+    double sigma_init = SoftplusInverse(2.0 / head.coord_scale_km);
     for (size_t m = 0; m < mc; ++m) {
       head_b->value.At(0, m) = rng.Uniform(min_x, max_x);
       head_b->value.At(0, mc + m) = rng.Uniform(min_y, max_y);
@@ -247,14 +237,19 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
 
   nn::MdnOptions mdn_options;
   mdn_options.num_components = config_.num_components;
-  mdn_options.sigma_min = config_.sigma_min_km / coord_scale_km_;
+  mdn_options.sigma_min = config_.sigma_min_km / head.coord_scale_km;
   mdn_options.rho_max = config_.rho_max;
 
   // Precompute each tweet's in-graph node ids (training tweets always have
-  // at least one entity by the §IV-A filter).
+  // at least one entity by the §IV-A filter), ascending as Predict orders
+  // them: that fixes the summation order of the attention pooling.
   std::vector<std::vector<size_t>> tweet_ids(dataset.train.size());
   for (size_t i = 0; i < dataset.train.size(); ++i) {
-    tweet_ids[i] = GraphIds(dataset.train[i]);
+    for (const text::Entity& e : dataset.train[i].entities) {
+      size_t id = graph_.NodeId(e.name);
+      if (id != graph::EntityGraph::kNotFound) tweet_ids[i].push_back(id);
+    }
+    std::sort(tweet_ids[i].begin(), tweet_ids[i].end());
     EDGE_CHECK(!tweet_ids[i].empty()) << "training tweet with no graph entity";
   }
 
@@ -510,15 +505,29 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
     }
   }
 
-  // --- Stage 6: cache dense inference state. ---
+  // --- Stage 6: encode the inference state as an fp64 store and adopt it,
+  // so a trained model predicts exactly as one loaded from its file. ---
   {
     EDGE_TRACE_SPAN("edge.core.fit.cache_inference");
-    smoothed_embeddings_ = gcn.Forward(gcn_input, gcn_input.AllRows())->value;
+    head.attention_q = attn_q->value;
+    head.attention_b = attn_b->value.At(0, 0);
+    head.head_w = head_w->value;
+    head.head_b = head_b->value;
+    std::vector<std::string_view> names(graph_.num_nodes());
+    for (size_t node = 0; node < names.size(); ++node) {
+      names[node] = graph_.NodeName(node);
+    }
+    std::string bytes;
+    Status status = EncodeModelStore(
+        head, names, gcn.Forward(gcn_input, gcn_input.AllRows())->value,
+        EmbedPrecision::kFp64, &bytes);
+    EDGE_CHECK(status.ok()) << status.ToString();
+    Result<std::shared_ptr<const MmapModelStore>> store =
+        MmapModelStore::FromBytes(std::move(bytes), StoreVerify::kFull);
+    EDGE_CHECK(store.ok()) << "trained state fails the store gates: "
+                           << store.status().ToString();
+    Adopt(std::move(store).value());
   }
-  attention_q_ = attn_q->value;
-  attention_b_ = attn_b->value.At(0, 0);
-  head_w_ = head_w->value;
-  head_b_ = head_b->value;
 
   double fit_seconds = fit_watch.ElapsedSeconds();
   registry.GetCounter("edge.core.fit_runs")->Increment();
@@ -537,48 +546,44 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
 
 EdgePrediction EdgeModel::PredictFromIds(const std::vector<size_t>& ids,
                                          const std::vector<std::string>& names) const {
+  const ModelHead& head = store_->head();
   EdgePrediction prediction;
   if (ids.empty()) {
     prediction.used_fallback = true;
     prediction.mixture = geo::GaussianMixture2d(
-        {geo::Gaussian2d::Isotropic(fallback_mean_, fallback_sigma_km_)}, {1.0});
-    prediction.point = projection_->ToLatLon(fallback_mean_);
+        {geo::Gaussian2d::Isotropic(head.fallback_mean, head.fallback_sigma_km)},
+        {1.0});
+    prediction.point = projection_->ToLatLon(head.fallback_mean);
     return prediction;
   }
 
-  size_t hidden = hidden_dim();
+  size_t hidden = store_->hidden();
   size_t k_count = ids.size();
 
-  // Gather the tweet's embedding rows once. Dense and fp64-store rows are
-  // read in place (for a mapped store that is the zero-copy path — the
-  // pointers alias the file mapping); quantized stores decode into one
-  // packed scratch buffer. The arithmetic below is unchanged from the dense
-  // path, so a fp64 store is bitwise-identical to the trained model.
+  // Gather the tweet's embedding rows once. fp64 rows are read in place (for
+  // a mapped file that is the zero-copy path — the pointers alias the
+  // mapping); quantized stores decode into one packed scratch buffer.
   std::vector<const double*> rows(k_count);
   std::vector<double> scratch;
-  if (store_ != nullptr && !store_->zero_copy()) {
+  if (store_->zero_copy()) {
+    for (size_t k = 0; k < k_count; ++k) {
+      rows[k] = store_->EmbeddingRow(ids[k], nullptr).data;
+    }
+  } else {
     scratch.resize(k_count * hidden);
     for (size_t k = 0; k < k_count; ++k) {
       store_->DequantizeRow(ids[k], &scratch[k * hidden]);
       rows[k] = &scratch[k * hidden];
     }
-  } else if (store_ != nullptr) {
-    for (size_t k = 0; k < k_count; ++k) {
-      rows[k] = store_->EmbeddingRow(ids[k], nullptr).data;
-    }
-  } else {
-    for (size_t k = 0; k < k_count; ++k) {
-      rows[k] = smoothed_embeddings_.row_data(ids[k]);
-    }
   }
 
   // Attention scores (Eq. 2-3) over the gathered rows.
   std::vector<double> weights(k_count, 1.0);
-  if (config_.use_attention) {
+  if (head.use_attention) {
     for (size_t k = 0; k < k_count; ++k) {
-      double s = attention_b_;
+      double s = head.attention_b;
       const double* row = rows[k];
-      for (size_t d = 0; d < hidden; ++d) s += row[d] * attention_q_.At(d, 0);
+      for (size_t d = 0; d < hidden; ++d) s += row[d] * head.attention_q.At(d, 0);
       weights[k] = std::max(s, 0.0);
     }
     SoftmaxInPlace(&weights);
@@ -590,25 +595,25 @@ EdgePrediction EdgeModel::PredictFromIds(const std::vector<size_t>& ids,
     const double* row = rows[k];
     for (size_t d = 0; d < hidden; ++d) z[d] += weights[k] * row[d];
   }
-  size_t theta_dim = head_b_.cols();
+  size_t theta_dim = head.head_b.cols();
   std::vector<double> theta(theta_dim);
   for (size_t j = 0; j < theta_dim; ++j) {
-    double v = head_b_.At(0, j);
-    for (size_t d = 0; d < hidden; ++d) v += z[d] * head_w_.At(d, j);
+    double v = head.head_b.At(0, j);
+    for (size_t d = 0; d < hidden; ++d) v += z[d] * head.head_w.At(d, j);
     theta[j] = v;
   }
 
   nn::MdnOptions mdn_options;
-  mdn_options.num_components = config_.num_components;
-  mdn_options.sigma_min = config_.sigma_min_km / coord_scale_km_;
-  mdn_options.rho_max = config_.rho_max;
+  mdn_options.num_components = head.num_components;
+  mdn_options.sigma_min = head.sigma_min_km / head.coord_scale_km;
+  mdn_options.rho_max = head.rho_max;
   nn::MdnMixture mix = nn::ActivateMdnRow(theta.data(), mdn_options);
   // Rescale from standardized training units back to kilometres.
   for (size_t m = 0; m < mix.num_components(); ++m) {
-    mix.mean_x[m] *= coord_scale_km_;
-    mix.mean_y[m] *= coord_scale_km_;
-    mix.sigma_x[m] *= coord_scale_km_;
-    mix.sigma_y[m] *= coord_scale_km_;
+    mix.mean_x[m] *= head.coord_scale_km;
+    mix.mean_y[m] *= head.coord_scale_km;
+    mix.sigma_x[m] *= head.coord_scale_km;
+    mix.sigma_y[m] *= head.coord_scale_km;
   }
   prediction.mixture = ToGeoMixture(mix);
   prediction.point = projection_->ToLatLon(prediction.mixture.FindMode());
@@ -620,14 +625,16 @@ EdgePrediction EdgeModel::PredictFromIds(const std::vector<size_t>& ids,
 }
 
 EdgePrediction EdgeModel::Predict(const data::ProcessedTweet& tweet) const {
-  EDGE_CHECK(fitted_) << "Predict() before Fit()";
+  EDGE_CHECK(store_ != nullptr) << "Predict() before Fit()";
   std::vector<std::pair<size_t, std::string>> known;
   for (const text::Entity& e : tweet.entities) {
     size_t id = NodeIdOf(e.name);
     if (id != graph::EntityGraph::kNotFound) known.emplace_back(id, e.name);
   }
-  // Canonical ascending-id order (see GraphIds): the prediction depends only
-  // on the entity set, never on mention order.
+  // Canonical ascending-id order: attention/aggregation are mathematically
+  // permutation-invariant, but fixing the floating-point summation order
+  // makes the prediction a pure function of the entity set (not the mention
+  // order) — the property the serve-layer cache keys on.
   std::sort(known.begin(), known.end());
   std::vector<size_t> ids;
   std::vector<std::string> names;
@@ -641,7 +648,7 @@ EdgePrediction EdgeModel::Predict(const data::ProcessedTweet& tweet) const {
 }
 
 EdgePrediction EdgeModel::FallbackPrediction() const {
-  EDGE_CHECK(fitted_) << "FallbackPrediction() before Fit()";
+  EDGE_CHECK(store_ != nullptr) << "FallbackPrediction() before Fit()";
   return PredictFromIds({}, {});
 }
 
@@ -653,7 +660,7 @@ void EdgeModel::set_num_threads(int n) {
 void EdgeModel::PredictBatch(const std::vector<data::ProcessedTweet>& tweets,
                              std::vector<EdgePrediction>* out) const {
   EDGE_CHECK(out != nullptr);
-  EDGE_CHECK(fitted_) << "PredictBatch() before Fit()";
+  EDGE_CHECK(store_ != nullptr) << "PredictBatch() before Fit()";
   EDGE_TRACE_SPAN("edge.core.predict_batch");
   out->assign(tweets.size(), EdgePrediction{});
   ScopedNumThreads scoped_threads(config_.num_threads);
@@ -674,7 +681,7 @@ void EdgeModel::PredictPoints(const std::vector<data::ProcessedTweet>& tweets,
                               std::vector<geo::LatLon>* points,
                               std::vector<uint8_t>* predicted) {
   EDGE_CHECK(points != nullptr && predicted != nullptr);
-  EDGE_CHECK(fitted_) << "PredictPoints() before Fit()";
+  EDGE_CHECK(store_ != nullptr) << "PredictPoints() before Fit()";
   EDGE_TRACE_SPAN("edge.core.predict_points");
   static obs::Histogram* batch_seconds =
       obs::Registry::Global().GetHistogram("edge.core.predict_points_seconds");
@@ -696,32 +703,17 @@ Result<std::unique_ptr<EdgeModel>> EdgeModel::LoadFromStore(
     std::shared_ptr<const MmapModelStore> store) {
   EDGE_CHECK(store != nullptr);
   // The store already ran the untrusted-input gates (MmapModelStore::Validate),
-  // so everything here is O(1) in entity count: copy the config and the
-  // O(hidden) matrices, keep the mapping for the O(entities) state. No graph
-  // rebuild, no embedding parse.
+  // the config's included, so this is O(1) in entity count and copies
+  // nothing: the model reads its head and rows from the store.
+  const ModelHead& head = store->head();
   EdgeConfig config;
-  config.display_name = store->display_name();
-  config.num_components = store->num_components();
-  config.sigma_min_km = store->sigma_min_km();
-  config.rho_max = store->rho_max();
-  config.use_attention = store->use_attention();
-  Status config_status = config.Validate();
-  if (!config_status.ok()) {
-    return Status::InvalidArgument("corrupt store config: " +
-                                   config_status.ToString());
-  }
-  auto model = std::make_unique<EdgeModel>(config);
-  model->fitted_ = true;
-  model->projection_ = std::make_unique<geo::LocalProjection>(
-      geo::LatLon{store->origin_lat(), store->origin_lon()});
-  model->attention_q_ = store->attention_q();
-  model->attention_b_ = store->attention_b();
-  model->head_w_ = store->head_w();
-  model->head_b_ = store->head_b();
-  model->fallback_mean_ = {store->fallback_x(), store->fallback_y()};
-  model->fallback_sigma_km_ = store->fallback_sigma_km();
-  model->coord_scale_km_ = store->coord_scale_km();
-  model->store_ = std::move(store);
+  config.display_name = head.display_name;
+  config.num_components = head.num_components;
+  config.sigma_min_km = head.sigma_min_km;
+  config.rho_max = head.rho_max;
+  config.use_attention = head.use_attention;
+  auto model = std::make_unique<EdgeModel>(std::move(config));
+  model->Adopt(std::move(store));
   return model;
 }
 

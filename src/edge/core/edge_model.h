@@ -8,13 +8,10 @@
 
 #include "edge/core/edge_config.h"
 #include "edge/data/pipeline.h"
-#include "edge/embedding/entity2vec.h"
 #include "edge/eval/geolocator.h"
 #include "edge/geo/mixture.h"
 #include "edge/geo/projection.h"
 #include "edge/graph/entity_graph.h"
-#include "edge/graph/gcn.h"
-#include "edge/nn/layers.h"
 
 namespace edge::core {
 
@@ -47,6 +44,12 @@ struct EdgePrediction {
 /// fully-connected head (Eq. 7) to the parameters of a bivariate Gaussian
 /// mixture (Eq. 8-12), trained end-to-end by maximizing the likelihood of
 /// the ground-truth locations (Eq. 13).
+///
+/// A model predicts only from an edge-model.v1 store (model_store.h): the
+/// smoothed entity table plus the attention and head parameters. Fit ends by
+/// encoding its inference state into an in-memory fp64 store, and
+/// LoadFromStore adopts a mapped one, so trained and loaded models hold the
+/// same state and run the same code.
 class EdgeModel : public eval::Geolocator {
  public:
   explicit EdgeModel(EdgeConfig config);
@@ -57,7 +60,10 @@ class EdgeModel : public eval::Geolocator {
   std::string name() const override { return config_.display_name; }
 
   /// Trains the full pipeline on the dataset's training split:
-  /// entity2vec -> entity graph -> GCN+attention+MDN end-to-end.
+  /// entity2vec -> entity graph -> GCN+attention+MDN end-to-end, then
+  /// encodes the result as an fp64 store (passing every kFull gate a file
+  /// passes) and predicts from it. Call once, on a model not loaded from a
+  /// store.
   void Fit(const data::ProcessedDataset& dataset) override;
 
   /// Eq. 14 single-point conversion (always succeeds; see used_fallback).
@@ -95,93 +101,54 @@ class EdgeModel : public eval::Geolocator {
   /// Mean training NLL per epoch (Eq. 13), for convergence tests/plots.
   const std::vector<double>& loss_history() const { return loss_history_; }
 
-  /// The co-occurrence entity graph built during Fit.
+  /// The co-occurrence entity graph built during Fit (empty for a model
+  /// loaded from a store).
   const graph::EntityGraph& entity_graph() const { return graph_; }
 
   /// The km-plane projection the mixture lives in.
   const geo::LocalProjection& projection() const;
 
-  /// The trained entity2vec embeddings.
-  const embedding::Entity2Vec& entity2vec() const { return *entity2vec_; }
-
   const EdgeConfig& config() const { return config_; }
 
   /// Builds a Predict()-capable model over an already-validated edge-model.v1
-  /// store (model_store.h), the one inference checkpoint format: the store
-  /// holds the inference state (smoothed embeddings, attention and head
-  /// parameters, projection, fallback prior). Embedding rows are served out
-  /// of the store — zero-copy for fp64, dequantize-on-gather for
-  /// fp32/fp16/int8 — so this is O(1) in entity count: no embedding copy, no
-  /// graph reconstruction. The model holds the shared_ptr, keeping every
-  /// ConstRowSpan it gathers valid. The model cannot be Fit() again.
+  /// store (model_store.h), the one inference checkpoint format. Embedding
+  /// rows and the head are served out of the store — rows zero-copy for
+  /// fp64, dequantize-on-gather for fp32/fp16/int8 — so this is O(1) in
+  /// entity count: no copy, no graph reconstruction. The model holds the
+  /// shared_ptr, keeping every ConstRowSpan it gathers valid. The model
+  /// cannot be Fit() again.
   static Result<std::unique_ptr<EdgeModel>> LoadFromStore(
       std::shared_ptr<const MmapModelStore> store);
 
   /// Node id of an entity name in this model's vocabulary (the id space the
   /// embedding rows and the serve-layer cache keys live in), or
-  /// graph::EntityGraph::kNotFound. Routes to the entity graph for trained
-  /// models and to the mapped vocabulary for store-backed ones — the store
-  /// keeps the graph's node order, so a trained model and its store agree on
-  /// every id.
+  /// graph::EntityGraph::kNotFound. The store keeps the graph's node order,
+  /// so these are entity_graph()'s ids for a trained model.
   size_t NodeIdOf(std::string_view name) const;
 
-  /// Entity name of node `id` (inverse of NodeIdOf). The view aliases model
-  /// storage and lives as long as the model.
+  /// Entity name of node `id` (inverse of NodeIdOf). The view aliases the
+  /// store and lives as long as the model.
   std::string_view NodeNameOf(size_t id) const;
 
   /// Number of entities in the vocabulary (= embedding rows).
   size_t num_entities() const;
 
-  /// The backing store for store-backed models, nullptr otherwise.
+  /// The store this model predicts from; nullptr before Fit.
   const MmapModelStore* store() const { return store_.get(); }
 
  private:
-  friend Status SerializeModelStore(const EdgeModel& model,
-                                    EmbedPrecision precision, std::string* out);
-
-  /// Node ids of a tweet's in-graph entities, in canonical ascending order.
-  std::vector<size_t> GraphIds(const data::ProcessedTweet& tweet) const;
+  /// Makes `store` the model's inference state; Fit and LoadFromStore both
+  /// end here.
+  void Adopt(std::shared_ptr<const MmapModelStore> store);
   EdgePrediction PredictFromIds(const std::vector<size_t>& ids,
                                 const std::vector<std::string>& names) const;
-  /// Embedding row `node`, wherever it lives (dense matrix, mapped fp64
-  /// store, or dequantized via *scratch for quantized stores).
-  nn::ConstRowSpan EmbeddingRowOf(size_t node, std::vector<double>* scratch) const;
-  /// Embedding width (dense matrix or store header).
-  size_t hidden_dim() const;
 
   EdgeConfig config_;
-  bool fitted_ = false;
-
-  /// Set only by LoadFromStore: the mapped checkpoint this model serves
-  /// embeddings from. When set, smoothed_embeddings_ and graph_ stay empty;
-  /// the attention/head matrices below are copies of the store's (they are
-  /// O(hidden), not O(entities)).
   std::shared_ptr<const MmapModelStore> store_;
-
-  std::unique_ptr<embedding::Entity2Vec> entity2vec_;
-  graph::EntityGraph graph_;
-  nn::CsrMatrix normalized_adjacency_;
+  /// Built from the store's origin by Adopt.
   std::unique_ptr<geo::LocalProjection> projection_;
-
-  // Trained parameters (dense copies used for inference).
-  nn::Matrix smoothed_embeddings_;  ///< H after the last GCN layer, |V| x d.
-  nn::Matrix attention_q_;          ///< d x 1.
-  double attention_b_ = 0.0;
-  nn::Matrix head_w_;               ///< d x 6M.
-  nn::Matrix head_b_;               ///< 1 x 6M.
-
-  /// Prior fit to the training locations; used when a tweet has no in-graph
-  /// entity.
-  geo::PlanePoint fallback_mean_;
-  double fallback_sigma_km_ = 5.0;
-
-  /// Standardization scale: the MDN is trained on plane coordinates divided
-  /// by this (roughly the training spread in km), the classic MDN
-  /// conditioning trick — raw-km targets force the linear head to grow
-  /// region-sized weights against weight decay. Predictions are rescaled
-  /// back to km. DESIGN.md §4(3).
-  double coord_scale_km_ = 1.0;
-
+  /// Training by-products, empty for a model loaded from a store.
+  graph::EntityGraph graph_;
   std::vector<double> loss_history_;
 };
 

@@ -388,53 +388,47 @@ Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::Validate(
   if (config_s->size == 0 || config_s->size > kMaxConfigBytes) {
     return Corrupt("implausible config section size");
   }
+  ModelHead& head = store->head_;
   {
     std::istringstream is(
         std::string(data + config_s->offset, config_s->size));
-    EdgeConfig config;
     int use_attention = 1;
-    is >> config.display_name;
-    is >> config.num_components >> config.sigma_min_km >> config.rho_max >>
+    is >> head.display_name;
+    is >> head.num_components >> head.sigma_min_km >> head.rho_max >>
         use_attention;
     if (is.fail()) return Corrupt("truncated or unparsable config section");
-    config.use_attention = use_attention != 0;
+    head.use_attention = use_attention != 0;
     constexpr size_t kMaxComponents = 1024;
-    if (config.num_components == 0 || config.num_components > kMaxComponents) {
+    if (head.num_components == 0 || head.num_components > kMaxComponents) {
       return Corrupt("implausible mixture component count");
     }
+    EdgeConfig config;
+    config.num_components = head.num_components;
+    config.sigma_min_km = head.sigma_min_km;
+    config.rho_max = head.rho_max;
     Status config_status = config.Validate();
     if (!config_status.ok()) {
       return Corrupt("corrupt config: " + config_status.ToString());
     }
-    double lat = 0.0, lon = 0.0;
-    is >> lat >> lon;
-    is >> store->fallback_x_ >> store->fallback_y_ >> store->fallback_sigma_km_;
-    is >> store->coord_scale_km_;
-    is >> store->attention_b_;
+    is >> head.origin.lat >> head.origin.lon;
+    is >> head.fallback_mean.x >> head.fallback_mean.y >> head.fallback_sigma_km;
+    is >> head.coord_scale_km;
+    is >> head.attention_b;
     if (is.fail()) return Corrupt("truncated or unparsable config section");
-    if (!(lat >= -90.0 && lat <= 90.0) || !(lon >= -360.0 && lon <= 360.0)) {
+    if (!(head.origin.lat >= -90.0 && head.origin.lat <= 90.0) ||
+        !(head.origin.lon >= -360.0 && head.origin.lon <= 360.0)) {
       return Corrupt("projection origin out of range");
     }
-    if (!std::isfinite(store->attention_b_) ||
-        !std::isfinite(store->fallback_x_) ||
-        !std::isfinite(store->fallback_y_)) {
+    if (!std::isfinite(head.attention_b) || !std::isfinite(head.fallback_mean.x) ||
+        !std::isfinite(head.fallback_mean.y)) {
       return Corrupt("non-finite scalar parameters");
     }
-    if (!(store->fallback_sigma_km_ > 0.0) ||
-        !std::isfinite(store->fallback_sigma_km_)) {
+    if (!(head.fallback_sigma_km > 0.0) || !std::isfinite(head.fallback_sigma_km)) {
       return Corrupt("non-positive fallback sigma");
     }
-    if (!(store->coord_scale_km_ > 0.0) ||
-        !std::isfinite(store->coord_scale_km_)) {
+    if (!(head.coord_scale_km > 0.0) || !std::isfinite(head.coord_scale_km)) {
       return Corrupt("non-positive coordinate scale");
     }
-    store->display_name_ = config.display_name;
-    store->num_components_ = config.num_components;
-    store->sigma_min_km_ = config.sigma_min_km;
-    store->rho_max_ = config.rho_max;
-    store->use_attention_ = config.use_attention;
-    store->origin_lat_ = lat;
-    store->origin_lon_ = lon;
   }
 
   // --- Vocabulary: count, blob size, offsets array, name blob. ---
@@ -547,7 +541,7 @@ Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::Validate(
   }
 
   // --- Small matrices (always parsed and copied out; O(hidden * theta)). ---
-  const size_t theta_dim = 6 * store->num_components_;
+  const size_t theta_dim = 6 * head.num_components;
   auto parse_matrix = [&](const SectionEntry* s, size_t want_rows,
                           size_t want_cols, nn::Matrix* out,
                           const char* what) -> Status {
@@ -574,13 +568,12 @@ Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::Validate(
     return Status::Ok();
   };
   Status status =
-      parse_matrix(attn_s, hidden, 1, &store->attention_q_, "attention q");
+      parse_matrix(attn_s, hidden, 1, &head.attention_q, "attention q");
   if (status.ok()) {
-    status = parse_matrix(head_w_s, hidden, theta_dim, &store->head_w_,
-                          "head weights");
+    status = parse_matrix(head_w_s, hidden, theta_dim, &head.head_w, "head weights");
   }
   if (status.ok()) {
-    status = parse_matrix(head_b_s, 1, theta_dim, &store->head_b_, "head bias");
+    status = parse_matrix(head_b_s, 1, theta_dim, &head.head_b, "head bias");
   }
   if (!status.ok()) return status;
 
@@ -661,14 +654,15 @@ std::string_view MmapModelStore::NodeName(size_t id) const {
   return {vocab_blob_ + a, static_cast<size_t>(b - a)};
 }
 
-Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
-                           std::string* out) {
+Status EncodeModelStore(const ModelHead& head,
+                        const std::vector<std::string_view>& names,
+                        const nn::Matrix& embeddings, EmbedPrecision precision,
+                        std::string* out) {
   EDGE_CHECK(out != nullptr);
-  if (!model.fitted_) return Status::FailedPrecondition("model not fitted");
-  const size_t num_nodes = model.num_entities();
-  const size_t hidden = model.hidden_dim();
-  if (num_nodes == 0 || hidden == 0) {
-    return Status::FailedPrecondition("model has no embedding table");
+  const size_t num_nodes = names.size();
+  const size_t hidden = embeddings.cols();
+  if (num_nodes == 0 || hidden == 0 || embeddings.rows() != num_nodes) {
+    return Status::InvalidArgument("store needs one embedding row per name");
   }
 
   // --- Section payloads. ---
@@ -678,45 +672,30 @@ Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
     // a load and re-serialization bitwise.
     std::ostringstream os;
     os.precision(17);
-    const EdgeConfig& config = model.config_;
-    os << config.display_name << "\n";
-    os << config.num_components << " " << config.sigma_min_km << " "
-       << config.rho_max << " " << (config.use_attention ? 1 : 0) << "\n";
-    os << model.projection().origin().lat << " "
-       << model.projection().origin().lon << "\n";
-    os << model.fallback_mean_.x << " " << model.fallback_mean_.y << " "
-       << model.fallback_sigma_km_ << "\n";
-    os << model.coord_scale_km_ << "\n";
-    os << model.attention_b_ << "\n";
+    os << head.display_name << "\n";
+    os << head.num_components << " " << head.sigma_min_km << " " << head.rho_max
+       << " " << (head.use_attention ? 1 : 0) << "\n";
+    os << head.origin.lat << " " << head.origin.lon << "\n";
+    os << head.fallback_mean.x << " " << head.fallback_mean.y << " "
+       << head.fallback_sigma_km << "\n";
+    os << head.coord_scale_km << "\n";
+    os << head.attention_b << "\n";
     config_blob = os.str();
   }
 
   std::string vocab_blob;
-  std::vector<std::string_view> names(num_nodes);
   {
     std::string offsets;
     std::string blob;
     AppendU64(&vocab_blob, num_nodes);
-    for (size_t n = 0; n < num_nodes; ++n) {
+    for (std::string_view name : names) {
       AppendU64(&offsets, blob.size());
-      std::string_view name = model.NodeNameOf(n);
       blob.append(name.data(), name.size());
     }
     AppendU64(&offsets, blob.size());
     AppendU64(&vocab_blob, blob.size());
     vocab_blob += offsets;
-    // string_views into vocab_blob would dangle across appends; re-derive
-    // names from the final blob below instead.
     vocab_blob += blob;
-  }
-  {
-    const char* offsets = vocab_blob.data() + 16;
-    const char* blob = offsets + (num_nodes + 1) * 8;
-    for (size_t n = 0; n < num_nodes; ++n) {
-      uint64_t a = ReadU64(offsets + n * 8);
-      uint64_t b = ReadU64(offsets + (n + 1) * 8);
-      names[n] = {blob + a, static_cast<size_t>(b - a)};
-    }
   }
   std::string index_blob;
   {
@@ -731,9 +710,8 @@ Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
   std::string scales_blob;
   {
     embed_blob.reserve(num_nodes * hidden * ElementSize(precision));
-    std::vector<double> scratch;
     for (size_t n = 0; n < num_nodes; ++n) {
-      nn::ConstRowSpan row = model.EmbeddingRowOf(n, &scratch);
+      const double* row = embeddings.row_data(n);
       switch (precision) {
         case EmbedPrecision::kFp64:
           for (size_t d = 0; d < hidden; ++d) AppendF64(&embed_blob, row[d]);
@@ -784,11 +762,9 @@ Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
     uint32_t id;
     const std::string* payload;
   };
-  // LoadFromStore copies the small matrices into the model, so these are
-  // valid for trained and store-backed models alike.
-  std::string attn_blob = matrix_blob(model.attention_q_);
-  std::string head_w_blob = matrix_blob(model.head_w_);
-  std::string head_b_blob = matrix_blob(model.head_b_);
+  std::string attn_blob = matrix_blob(head.attention_q);
+  std::string head_w_blob = matrix_blob(head.head_w);
+  std::string head_b_blob = matrix_blob(head.head_b);
   std::vector<Pending> pending = {
       {kSectionConfig, &config_blob},   {kSectionVocab, &vocab_blob},
       {kSectionVocabIndex, &index_blob}, {kSectionEmbeddings, &embed_blob},
@@ -844,6 +820,19 @@ Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
   PatchU64(&file, kHeaderChecksumOffset,
            Fnv1a64Bytes(file.data(), kHeaderChecksumOffset));
   return Status::Ok();
+}
+
+Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
+                           std::string* out) {
+  const MmapModelStore* store = model.store();
+  if (store == nullptr) return Status::FailedPrecondition("model not fitted");
+  std::vector<std::string_view> names(store->num_nodes());
+  nn::Matrix embeddings(store->num_nodes(), store->hidden());
+  for (size_t n = 0; n < names.size(); ++n) {
+    names[n] = store->NodeName(n);
+    store->DequantizeRow(n, embeddings.row_data(n));
+  }
+  return EncodeModelStore(store->head(), names, embeddings, precision, out);
 }
 
 Status SaveModelStoreAtomic(const EdgeModel& model, EmbedPrecision precision,

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "edge/common/status.h"
+#include "edge/geo/projection.h"
 #include "edge/nn/matrix.h"
 
 /// \file
@@ -15,14 +16,16 @@
 /// store that serves it (DESIGN.md §15). It is the only model file anything
 /// reads or writes: `edge_cli train` saves one, serving loads and
 /// hot-reloads one, and a system snapshot carries one as its model section.
+/// It is also the one model state: EdgeModel::Fit ends by encoding an fp64
+/// store in memory and predicting from it, exactly as a loaded model does.
 ///
 /// The layout lets a loader `mmap` the file read-only and serve embedding
 /// rows straight out of the page cache through nn::ConstRowSpan — hot reload
 /// is a map-and-swap whose cost is independent of entity count
 /// (StoreVerify::kFast), and cold load never materializes a second copy of
 /// the embedding matrix. Matrices are raw IEEE-754 bytes and config scalars
-/// round-trip exactly, so an fp64 store's predictions are bitwise those of
-/// the trained model.
+/// round-trip exactly, so an fp64 file answers bitwise what the model that
+/// wrote it answers.
 ///
 /// On-disk layout (all integers little-endian, fixed width):
 ///
@@ -74,11 +77,11 @@ namespace edge::core {
 
 class EdgeModel;
 
-/// Storage precision of the embedding section. fp64 is exact (store-backed
-/// predictions are bitwise identical to the trained model's) and zero-copy;
-/// the narrower precisions trade accuracy for bytes and dequantize into a
-/// caller scratch buffer on gather. BENCH_model_store.json records the
-/// measured accuracy-vs-size trade on the bench worlds.
+/// Storage precision of the embedding section. fp64 is exact (the precision
+/// of Fit's own store) and zero-copy; the narrower precisions trade accuracy
+/// for bytes and dequantize into a caller scratch buffer on gather.
+/// BENCH_model_store.json records the measured accuracy-vs-size trade on the
+/// bench worlds.
 enum class EmbedPrecision : uint32_t {
   kFp64 = 0,
   kFp32 = 1,
@@ -106,12 +109,41 @@ enum class StoreVerify {
   kFast,
 };
 
+/// Everything an edge-model.v1 store holds beside the vocabulary and the
+/// embedding table: the kConfig section's values and the three small
+/// matrices. EdgeModel::Fit fills one as it computes each value;
+/// MmapModelStore::Validate parses one out of the file. Its values are fp64
+/// exact through a store (matrices as raw IEEE bytes, scalars at precision
+/// 17), so a model predicts the same bits from either.
+struct ModelHead {
+  std::string display_name;
+  /// Mixture shape (EdgeConfig's fields of the same names).
+  size_t num_components = 0;
+  double sigma_min_km = 0.0;
+  double rho_max = 0.0;
+  bool use_attention = true;
+  /// Origin of the km plane the mixture lives in.
+  geo::LatLon origin;
+  /// Training-set prior, answered for tweets with no in-vocabulary entity.
+  geo::PlanePoint fallback_mean;
+  double fallback_sigma_km = 1.0;
+  /// The MDN is trained on plane coordinates divided by this (roughly the
+  /// training spread in km) and its outputs are rescaled back to km: raw-km
+  /// targets force the linear head to grow region-sized weights against
+  /// weight decay. DESIGN.md §4(3).
+  double coord_scale_km = 1.0;
+  double attention_b = 0.0;
+  nn::Matrix attention_q;  ///< hidden x 1.
+  nn::Matrix head_w;       ///< hidden x 6M.
+  nn::Matrix head_b;       ///< 1 x 6M.
+};
+
 /// A read-only, validated view of one edge-model.v1 file. The file is mapped
 /// with mmap(PROT_READ) where available (falling back to an owned buffer),
 /// and all accessors serve pointers into that mapping; the store must
-/// outlive every span it hands out, which EdgeModel::LoadFromStore
-/// guarantees by holding the shared_ptr. Immutable after Open, so any number
-/// of threads may read concurrently.
+/// outlive every span it hands out, which EdgeModel guarantees by holding
+/// the shared_ptr. Immutable after Open, so any number of threads may read
+/// concurrently.
 class MmapModelStore {
  public:
   static constexpr size_t kNotFound = static_cast<size_t>(-1);
@@ -165,22 +197,8 @@ class MmapModelStore {
   /// Name of node `id` ("" for out-of-range ids or corrupt offsets).
   std::string_view NodeName(size_t id) const;
 
-  /// Parsed small sections (copied out at Open; fp64 exact).
-  const nn::Matrix& attention_q() const { return attention_q_; }
-  const nn::Matrix& head_w() const { return head_w_; }
-  const nn::Matrix& head_b() const { return head_b_; }
-  const std::string& display_name() const { return display_name_; }
-  size_t num_components() const { return num_components_; }
-  double sigma_min_km() const { return sigma_min_km_; }
-  double rho_max() const { return rho_max_; }
-  bool use_attention() const { return use_attention_; }
-  double origin_lat() const { return origin_lat_; }
-  double origin_lon() const { return origin_lon_; }
-  double attention_b() const { return attention_b_; }
-  double fallback_x() const { return fallback_x_; }
-  double fallback_y() const { return fallback_y_; }
-  double fallback_sigma_km() const { return fallback_sigma_km_; }
-  double coord_scale_km() const { return coord_scale_km_; }
+  /// The config and small-matrix sections, parsed at Open (fp64 exact).
+  const ModelHead& head() const { return head_; }
 
  private:
   MmapModelStore() = default;
@@ -206,26 +224,21 @@ class MmapModelStore {
   EmbedPrecision precision_ = EmbedPrecision::kFp64;
   char build_id_[16] = {};
 
-  nn::Matrix attention_q_;
-  nn::Matrix head_w_;
-  nn::Matrix head_b_;
-  std::string display_name_;
-  size_t num_components_ = 0;
-  double sigma_min_km_ = 0.0;
-  double rho_max_ = 0.0;
-  bool use_attention_ = true;
-  double origin_lat_ = 0.0;
-  double origin_lon_ = 0.0;
-  double attention_b_ = 0.0;
-  double fallback_x_ = 0.0;
-  double fallback_y_ = 0.0;
-  double fallback_sigma_km_ = 1.0;
-  double coord_scale_km_ = 1.0;
+  ModelHead head_;
 };
 
-/// Serializes a fitted (or loaded) model's inference state into edge-model.v1
-/// bytes at the given embedding precision. At fp64 the output is canonical:
-/// re-serializing a model loaded from it reproduces the bytes exactly.
+/// Encodes edge-model.v1 bytes: `head`, the vocabulary `names` in node-id
+/// order, and the fp64 embedding table (row n is node n's) stored at
+/// `precision`. The one encoder: EdgeModel::Fit's store, `convert`'s
+/// re-quantization and every save go through it.
+Status EncodeModelStore(const ModelHead& head,
+                        const std::vector<std::string_view>& names,
+                        const nn::Matrix& embeddings, EmbedPrecision precision,
+                        std::string* out);
+
+/// Re-encodes a fitted (or loaded) model's store at the given embedding
+/// precision; FailedPrecondition before Fit. At fp64 the output is canonical:
+/// it reproduces the bytes the store was opened from.
 Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
                            std::string* out);
 

@@ -81,9 +81,17 @@ std::string TrainFingerprint(const EdgeConfig& config, size_t num_train_tweets,
   fp << "|attn=" << (config.use_attention ? 1 : 0)
      << "|decay=" << (config.lr_decay ? 1 : 0) << "|clip=" << config.grad_clip_norm
      << "|lr=" << config.adam.learning_rate << "|wd=" << config.adam.weight_decay
+     << "|b1=" << config.adam.beta1 << "|b2=" << config.adam.beta2
+     << "|eps=" << config.adam.epsilon
      << "|smin=" << config.sigma_min_km << "|rmax=" << config.rho_max
-     << "|feat=" << static_cast<int>(config.feature_mode)
-     << "|train=" << num_train_tweets << "|entities=" << num_train_entities;
+     << "|feat=" << static_cast<int>(config.feature_mode);
+  // entity2vec makes the GCN's input features; Fit derives its dim and seed
+  // from the fields above.
+  const embedding::Entity2VecOptions& e2v = config.entity2vec;
+  fp << "|e2v=" << e2v.window << "," << e2v.negatives << "," << e2v.learning_rate
+     << "," << e2v.min_learning_rate << "," << e2v.epochs << ","
+     << e2v.subsample_threshold << "," << e2v.min_count;
+  fp << "|train=" << num_train_tweets << "|entities=" << num_train_entities;
   return fp.str();
 }
 

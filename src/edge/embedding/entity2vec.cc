@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <unordered_map>
 
 #include "edge/common/math_util.h"
@@ -77,69 +76,26 @@ void Entity2Vec::Train(const std::vector<std::vector<std::string>>& corpus) {
       ->Set(static_cast<double>(vocab_.size()));
   registry.GetCounter("edge.embedding.entity2vec.corpus_tokens")
       ->Increment(total_tokens);
-  auto log_done = [&](int worker_count) {
-    double seconds = watch.ElapsedSeconds();
-    registry.GetHistogram("edge.embedding.entity2vec.train_seconds")
-        ->Observe(seconds);
-    EDGE_LOG(INFO) << "entity2vec trained" << obs::Kv("vocab", vocab_.size())
-                   << obs::Kv("tokens", total_tokens)
-                   << obs::Kv("epochs", options_.epochs)
-                   << obs::Kv("threads", worker_count) << obs::Kv("sec", seconds);
-  };
-
-  int requested = options_.num_threads;
-  unsigned hw = std::thread::hardware_concurrency();
-  int threads = requested <= 0 ? static_cast<int>(hw == 0 ? 1 : hw) : requested;
-  if (options_.deterministic || threads <= 1) {
-    // Exact legacy schedule: one block, the same Rng stream that produced the
-    // init above — bitwise identical to the pre-parallel implementation for
-    // every num_threads value (the determinism switch wins over the budget).
-    TrainRange(id_corpus, 0, id_corpus.size(), total_tokens, &rng);
-    log_done(1);
-    return;
-  }
-
-  // Hogwild mode: contiguous sentence shards, one worker and one private RNG
-  // stream per shard. Workers update input_/output_ lock-free; conflicting
-  // writes are rare (touched rows are the pair's center/context/negatives)
-  // and benign, as in word2vec's reference trainer. Results depend on the OS
-  // interleaving, hence the opt-in via deterministic = false.
-  size_t shards = std::min<size_t>(static_cast<size_t>(threads), id_corpus.size());
-  std::vector<std::thread> workers;
-  workers.reserve(shards);
-  size_t base = id_corpus.size() / shards;
-  size_t extra = id_corpus.size() % shards;
-  size_t begin = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    size_t end = begin + base + (s < extra ? 1 : 0);
-    int64_t shard_tokens = 0;
-    for (size_t i = begin; i < end; ++i) {
-      shard_tokens += static_cast<int64_t>(id_corpus[i].size());
-    }
-    uint64_t shard_seed = options_.seed ^ (0x9e3779b97f4a7c15ULL * (s + 1));
-    workers.emplace_back([this, &id_corpus, begin, end, shard_tokens, shard_seed] {
-      Rng shard_rng(shard_seed);
-      TrainRange(id_corpus, begin, end, shard_tokens, &shard_rng);
-    });
-    begin = end;
-  }
-  for (std::thread& worker : workers) worker.join();
-  log_done(static_cast<int>(shards));
+  // One RNG stream through the init above and all of training.
+  TrainEpochs(id_corpus, total_tokens, &rng);
+  double seconds = watch.ElapsedSeconds();
+  registry.GetHistogram("edge.embedding.entity2vec.train_seconds")->Observe(seconds);
+  EDGE_LOG(INFO) << "entity2vec trained" << obs::Kv("vocab", vocab_.size())
+                 << obs::Kv("tokens", total_tokens)
+                 << obs::Kv("epochs", options_.epochs) << obs::Kv("sec", seconds);
 }
 
-void Entity2Vec::TrainRange(const std::vector<std::vector<size_t>>& id_corpus,
-                            size_t begin, size_t end, int64_t block_tokens, Rng* rng) {
-  int64_t planned = block_tokens * options_.epochs;
-  if (planned <= 0) return;
+void Entity2Vec::TrainEpochs(const std::vector<std::vector<size_t>>& id_corpus,
+                             int64_t total_tokens, Rng* rng) {
+  const int64_t planned = total_tokens * options_.epochs;
   int64_t processed = 0;
-  // Scratch reused across every sentence and pair in this block; TrainPair
-  // and the subsampling filter never touch the heap in steady state.
+  // Scratch reused across every sentence and pair; TrainPair and the
+  // subsampling filter never touch the heap in steady state.
   PairScratch scratch;
   scratch.u_grad.assign(options_.dim, 0.0);
   std::vector<size_t> kept;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    for (size_t sentence = begin; sentence < end; ++sentence) {
-      const std::vector<size_t>& ids = id_corpus[sentence];
+    for (const std::vector<size_t>& ids : id_corpus) {
       // Frequent-token subsampling (applied per epoch so rare entities keep
       // all their contexts).
       kept.clear();

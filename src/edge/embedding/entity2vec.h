@@ -27,17 +27,6 @@ struct Entity2VecOptions {
   /// Tokens rarer than this are dropped from training and the vocabulary.
   int64_t min_count = 1;
   uint64_t seed = 42;
-  /// Worker threads for Train(): 0 = hardware concurrency, 1 = serial. More
-  /// than one thread only takes effect when `deterministic` is false.
-  int num_threads = 1;
-  /// When true (default), Train() follows the exact legacy single-threaded
-  /// schedule regardless of num_threads, so embeddings are bitwise
-  /// reproducible. When false with num_threads > 1, sentences are split into
-  /// contiguous shards trained concurrently Hogwild-style (word2vec's
-  /// lock-free scheme): workers race benignly on the shared embedding
-  /// matrices, so results depend on thread interleaving and are NOT
-  /// reproducible run-to-run — documented in DESIGN.md "Parallelism model".
-  bool deterministic = true;
 };
 
 /// entity2vec (§III-A1): word2vec skip-gram with negative sampling, trained
@@ -45,6 +34,8 @@ struct Entity2VecOptions {
 /// NER spans and the PhraseDetector), so each entity gets one embedding that
 /// captures entity-level — not word-level — semantics. Implemented from
 /// scratch; negative samples come from the unigram^0.75 distribution.
+/// Training is one serial pass over one RNG stream, so embeddings are a pure
+/// function of (corpus, options).
 class Entity2Vec {
  public:
   explicit Entity2Vec(Entity2VecOptions options = {});
@@ -72,8 +63,8 @@ class Entity2Vec {
   const Entity2VecOptions& options() const { return options_; }
 
  private:
-  /// Caller-owned scratch of one TrainRange block, hoisted out of the pair
-  /// loop so the inner trainer never allocates; TrainPair overwrites it.
+  /// Caller-owned scratch of TrainEpochs, hoisted out of the pair loop so
+  /// the inner trainer never allocates; TrainPair overwrites it.
   struct PairScratch {
     std::vector<double> u_grad;   ///< dim.
     std::vector<size_t> targets;  ///< The pair's output rows, update order.
@@ -85,12 +76,10 @@ class Entity2Vec {
   /// update per sampled noise token that is not the context.
   void TrainPair(size_t center, size_t context, double lr, Rng* rng,
                  PairScratch* scratch);
-  /// Runs the epoch loop over the contiguous sentence block [begin, end) of
-  /// `id_corpus`, decaying the learning rate against `planned_tokens` (the
-  /// block's token count times epochs). The serial path trains the whole
-  /// corpus as one block; Hogwild workers each train one block.
-  void TrainRange(const std::vector<std::vector<size_t>>& id_corpus, size_t begin,
-                  size_t end, int64_t planned_tokens, Rng* rng);
+  /// Runs the epoch loop over `id_corpus`, decaying the learning rate
+  /// against its `total_tokens` times epochs.
+  void TrainEpochs(const std::vector<std::vector<size_t>>& id_corpus,
+                   int64_t total_tokens, Rng* rng);
 
   Entity2VecOptions options_;
   text::Vocabulary vocab_;

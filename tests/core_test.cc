@@ -344,11 +344,15 @@ TEST(EdgeAblationTest, VariantsTrainAndPredict) {
 }
 
 /// One configuration pinned by FitPinTest: how it differs from the small
-/// base model, and the loss history it must reproduce bit for bit.
+/// base model, and the loss history and inference state it must reproduce
+/// bit for bit.
 struct FitPin {
   const char* name;
   EdgeConfig (*make)();
   std::vector<double> loss_history;
+  /// Fnv1a64 of the fitted model's fp64 store: the all-rows GCN output, the
+  /// attention and head parameters and the fallback prior.
+  const char* store_fnv;
 };
 
 void PrintTo(const FitPin& pin, std::ostream* os) { *os << pin.name; }
@@ -356,10 +360,12 @@ void PrintTo(const FitPin& pin, std::ostream* os) { *os << pin.name; }
 /// A 3-epoch Fit on a small NYMA world, pinned bit for bit. The histories
 /// come from the reference formulation: a per-tweet attention tape over a
 /// GCN evaluated on every node and entity2vec pairs dotted one target at a
-/// time. The golden scenarios train only the default 2-layer attention
+/// time; the store hashes are the stage-6 output each configuration
+/// encodes. The golden scenarios train only the default 2-layer attention
 /// model, so these pins guard the other configurations. Like the golden
 /// digests, they hold only under the build fingerprint they were recorded
-/// with (compiler and libm); another toolchain skips them.
+/// with (compiler and libm; a store also embeds a compiler-derived build
+/// id); another toolchain skips them.
 class FitPinTest : public ::testing::TestWithParam<FitPin> {
  protected:
   static void SetUpTestSuite() {
@@ -400,40 +406,50 @@ TEST_P(FitPinTest, LossHistoryIsBitwisePinned) {
         << std::hexfloat << "epoch " << epoch << ": " << model.loss_history()[epoch]
         << " vs pinned " << expected[epoch];
   }
+  std::string store;
+  ASSERT_TRUE(SerializeModelStore(model, EmbedPrecision::kFp64, &store).ok());
+  EXPECT_EQ(ToHex16(Fnv1a64(store)), GetParam().store_fnv);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, FitPinTest,
     ::testing::Values(
         FitPin{"Edge", [] { return PinBase(EdgeConfig()); },
-               {0x1.161b24c5509bp+4, 0x1.b3c16b58e6d1cp+3, 0x1.63b238573d032p+3}},
+               {0x1.161b24c5509bp+4, 0x1.b3c16b58e6d1cp+3, 0x1.63b238573d032p+3},
+               "8331732c3ed0eab9"},
         FitPin{"NoGcn", [] { return PinBase(EdgeConfig::NoGcn()); },
-               {0x1.34bf35a1877ap+3, 0x1.f452be3a28eb4p+2, 0x1.b862a122b77d1p+2}},
+               {0x1.34bf35a1877ap+3, 0x1.f452be3a28eb4p+2, 0x1.b862a122b77d1p+2},
+               "14701e10139549eb"},
         FitPin{"Sum", [] { return PinBase(EdgeConfig::SumAggregation()); },
-               {0x1.14efecb3ccae3p+4, 0x1.ab6f009d0cb09p+3, 0x1.57d88160a029bp+3}},
+               {0x1.14efecb3ccae3p+4, 0x1.ab6f009d0cb09p+3, 0x1.57d88160a029bp+3},
+               "aaed5f27b39cd1ce"},
         FitPin{"NoMixture", [] { return PinBase(EdgeConfig::NoMixture()); },
-               {0x1.67d2498952b43p+5, 0x1.072aae32ca827p+5, 0x1.8fbfa4ddc66cp+4}},
+               {0x1.67d2498952b43p+5, 0x1.072aae32ca827p+5, 0x1.8fbfa4ddc66cp+4},
+               "63d17b9e0b62280b"},
         FitPin{"IdentityFeatures",
                [] {
                  EdgeConfig config = PinBase(EdgeConfig());
                  config.feature_mode = EdgeConfig::FeatureMode::kIdentity;
                  return config;
                },
-               {0x1.7ad606dd751a6p+3, 0x1.939dcf9d65a33p+2, 0x1.f37c6a20dd6a2p+1}},
+               {0x1.7ad606dd751a6p+3, 0x1.939dcf9d65a33p+2, 0x1.f37c6a20dd6a2p+1},
+               "f47f8a98dd14d9a2"},
         FitPin{"OneLayer",
                [] {
                  EdgeConfig config;
                  config.gcn_hidden = {16};
                  return PinBase(config);
                },
-               {0x1.dcf9704a5cab3p+2, 0x1.8dc53b9d64042p+2, 0x1.60fb78e631963p+2}},
+               {0x1.dcf9704a5cab3p+2, 0x1.8dc53b9d64042p+2, 0x1.60fb78e631963p+2},
+               "fb63888ce4961c57"},
         FitPin{"ThreeLayer",
                [] {
                  EdgeConfig config;
                  config.gcn_hidden = {16, 16, 16};
                  return PinBase(config);
                },
-               {0x1.52d1ab482d304p+3, 0x1.0638c1607f3e4p+3, 0x1.96c541f560473p+2}}),
+               {0x1.52d1ab482d304p+3, 0x1.0638c1607f3e4p+3, 0x1.96c541f560473p+2},
+               "d017ea11786cb2ad"}),
     [](const ::testing::TestParamInfo<FitPin>& info) { return std::string(info.param.name); });
 
 }  // namespace

@@ -291,18 +291,30 @@ TEST_F(ModelStoreTest, StorePredictionsBitwiseMatchTrainedModelAtThreadBudgets) 
 
 TEST_F(ModelStoreTest, NodeIdsAgreeWithTrainedModel) {
   // The serve cache keys on entity ids; a store-backed model must assign the
-  // trained model's id to every name (vocab is stored in node-id order).
+  // entity graph's id to every name (vocab is stored in node-id order).
+  const graph::EntityGraph& graph = model_->entity_graph();
   std::unique_ptr<EdgeModel> store_model = LoadStoreModel(*store_bytes_);
-  ASSERT_EQ(store_model->num_entities(), model_->num_entities());
-  for (size_t id = 0; id < model_->num_entities(); ++id) {
-    EXPECT_EQ(store_model->NodeNameOf(id), model_->NodeNameOf(id));
-    EXPECT_EQ(store_model->NodeIdOf(model_->NodeNameOf(id)), id);
+  ASSERT_EQ(store_model->num_entities(), graph.num_nodes());
+  for (size_t id = 0; id < graph.num_nodes(); ++id) {
+    EXPECT_EQ(store_model->NodeNameOf(id), graph.NodeName(id));
+    EXPECT_EQ(store_model->NodeIdOf(graph.NodeName(id)), id);
   }
   EXPECT_EQ(store_model->NodeIdOf("no_such_entity_name"),
             graph::EntityGraph::kNotFound);
 }
 
 // --- Zero copy ------------------------------------------------------------
+
+TEST_F(ModelStoreTest, TrainedModelPredictsFromItsOwnFp64Store) {
+  // Fit ends in an fp64 store, and serializing the model re-encodes that
+  // store byte for byte: saving a trained model writes the state it predicts
+  // from.
+  const MmapModelStore* store = model_->store();
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->precision(), EmbedPrecision::kFp64);
+  EXPECT_TRUE(store->zero_copy());
+  EXPECT_EQ(std::string(store->raw_data(), store->file_size()), *store_bytes_);
+}
 
 TEST_F(ModelStoreTest, Fp64RowsAliasTheMappedBytes) {
   auto store = MmapModelStore::FromBytes(*store_bytes_, StoreVerify::kFull);

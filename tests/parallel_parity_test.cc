@@ -1,10 +1,8 @@
 /// Thread-parity suite: the contract of the parallel compute substrate is
 /// that num_threads > 1 changes wall-clock, never numbers. Dense matmul, CSR
-/// propagation, full GCN forward/backward and deterministic entity2vec must
-/// be BITWISE identical at every budget; Hogwild entity2vec is the one
-/// documented exception (opt-in via deterministic = false).
+/// propagation, full GCN forward/backward and a whole Fit (entity2vec
+/// included) must be BITWISE identical at every budget.
 
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -15,7 +13,6 @@
 #include "edge/core/edge_model.h"
 #include "edge/data/generator.h"
 #include "edge/data/worlds.h"
-#include "edge/embedding/entity2vec.h"
 #include "edge/eval/metrics.h"
 #include "edge/graph/entity_graph.h"
 #include "edge/graph/gcn.h"
@@ -23,14 +20,6 @@
 #include "edge/nn/init.h"
 #include "edge/nn/matrix.h"
 #include "edge/nn/sparse.h"
-
-#if defined(__SANITIZE_THREAD__)
-#define EDGE_UNDER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define EDGE_UNDER_TSAN 1
-#endif
-#endif
 
 namespace edge {
 namespace {
@@ -258,72 +247,6 @@ TEST(ParallelParityTest, FitLossHistoryIdenticalAcrossBudgets) {
       EXPECT_EQ(parallel[epoch], serial[epoch]) << "threads " << threads << " epoch " << epoch;
     }
   }
-}
-
-std::vector<std::vector<std::string>> SyntheticCorpus(size_t sentences, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<std::string>> corpus(sentences);
-  for (auto& sentence : corpus) {
-    size_t len = 4 + rng.UniformInt(8);
-    for (size_t t = 0; t < len; ++t) {
-      sentence.push_back("tok" + std::to_string(rng.UniformInt(30)));
-    }
-  }
-  return corpus;
-}
-
-TEST(ParallelParityTest, Entity2VecDeterministicModeBitwiseIdentical) {
-  std::vector<std::vector<std::string>> corpus = SyntheticCorpus(200, 21);
-
-  embedding::Entity2VecOptions options;
-  options.dim = 16;
-  options.epochs = 2;
-  options.seed = 7;
-  options.deterministic = true;  // The determinism switch wins over the budget.
-
-  embedding::Entity2VecOptions serial = options;
-  serial.num_threads = 1;
-  embedding::Entity2VecOptions parallel = options;
-  parallel.num_threads = 4;
-
-  embedding::Entity2Vec e2v_serial(serial);
-  embedding::Entity2Vec e2v_parallel(parallel);
-  e2v_serial.Train(corpus);
-  e2v_parallel.Train(corpus);
-
-  ASSERT_EQ(e2v_serial.vocab().size(), e2v_parallel.vocab().size());
-  ExpectBitwiseEqual(e2v_serial.embeddings(), e2v_parallel.embeddings());
-}
-
-TEST(ParallelParityTest, Entity2VecHogwildTrainsValidEmbeddings) {
-#ifdef EDGE_UNDER_TSAN
-  GTEST_SKIP() << "Hogwild's lock-free updates race by design (word2vec-style, "
-                  "documented in DESIGN.md); TSAN rightly flags them.";
-#endif
-  std::vector<std::vector<std::string>> corpus = SyntheticCorpus(200, 22);
-  embedding::Entity2VecOptions options;
-  options.dim = 16;
-  options.epochs = 2;
-  options.seed = 7;
-  options.deterministic = false;
-  options.num_threads = 4;
-  embedding::Entity2Vec e2v(options);
-  e2v.Train(corpus);
-
-  // Hogwild results are schedule-dependent, so assert structure, not values:
-  // the full vocabulary was trained and every coordinate is finite and moved
-  // within the plausible range for 2 epochs of bounded-gradient updates.
-  EXPECT_EQ(e2v.vocab().size(), 30u);
-  const nn::Matrix& emb = e2v.embeddings();
-  ASSERT_EQ(emb.rows(), 30u);
-  ASSERT_EQ(emb.cols(), 16u);
-  for (size_t r = 0; r < emb.rows(); ++r) {
-    for (size_t c = 0; c < emb.cols(); ++c) {
-      ASSERT_TRUE(std::isfinite(emb.At(r, c)));
-    }
-  }
-  EXPECT_GT(emb.MaxAbs(), 0.0);
-  EXPECT_LT(emb.MaxAbs(), 10.0);
 }
 
 /// Abstains on every third tweet and predicts a deterministic function of the

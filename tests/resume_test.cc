@@ -170,6 +170,17 @@ TEST(TrainCheckpointTest, FingerprintSeparatesConfigsAndDatasets) {
   EdgeConfig more_epochs = config;
   more_epochs.epochs += 1;
   EXPECT_NE(base, TrainFingerprint(more_epochs, 100, 40));
+  // entity2vec makes the GCN's input features, and Adam's betas shape every
+  // step: either changes the training stream.
+  EdgeConfig more_e2v_epochs = config;
+  more_e2v_epochs.entity2vec.epochs += 1;
+  EXPECT_NE(base, TrainFingerprint(more_e2v_epochs, 100, 40));
+  EdgeConfig wider_window = config;
+  wider_window.entity2vec.window += 1;
+  EXPECT_NE(base, TrainFingerprint(wider_window, 100, 40));
+  EdgeConfig other_beta2 = config;
+  other_beta2.adam.beta2 = 0.99;
+  EXPECT_NE(base, TrainFingerprint(other_beta2, 100, 40));
   EXPECT_NE(base, TrainFingerprint(config, 101, 40));
   EXPECT_NE(base, TrainFingerprint(config, 100, 41));
   // Recovery knobs do NOT change the fingerprint: an interrupted run and its
@@ -323,25 +334,33 @@ TEST_F(FitRecoveryTest, RollbackBudgetExhaustionKeepsLastGoodState) {
 
 TEST_F(FitRecoveryTest, FingerprintMismatchTrainsFromScratch) {
   obs::Registry& registry = obs::Registry::Global();
-  std::string dir = FreshDir("fingerprint_mismatch");
-
-  EdgeConfig first = SmallConfig(1);
-  first.recovery.checkpoint_dir = dir;
-  first.recovery.max_epochs_per_run = 2;
-  EdgeModel partial(first);
-  partial.Fit(*processed_);
-  ASSERT_EQ(partial.loss_history().size(), 2u);
-
-  // A different seed is a different training stream: the checkpoint in `dir`
-  // must be ignored, not resumed into the wrong run.
-  int64_t resumes_before = registry.GetCounter("edge.core.resumes")->value();
+  // A different seed is a different training stream, and so is a different
+  // entity2vec schedule: the first run's checkpoint must be ignored, not
+  // resumed into the wrong run.
   EdgeConfig reseeded = SmallConfig(1);
-  reseeded.seed = first.seed + 1;
-  reseeded.recovery.checkpoint_dir = dir;
-  EdgeModel fresh(reseeded);
-  fresh.Fit(*processed_);
-  EXPECT_EQ(fresh.loss_history().size(), 6u);  // Full run, no resume.
-  EXPECT_EQ(registry.GetCounter("edge.core.resumes")->value(), resumes_before);
+  reseeded.seed += 1;
+  EdgeConfig more_e2v_epochs = SmallConfig(1);
+  more_e2v_epochs.entity2vec.epochs = 3;
+  for (EdgeConfig second : {reseeded, more_e2v_epochs}) {
+    SCOPED_TRACE("seed " + std::to_string(second.seed) + ", entity2vec epochs " +
+                 std::to_string(second.entity2vec.epochs));
+    std::string dir = FreshDir("fingerprint_mismatch");
+    EdgeConfig first = SmallConfig(1);
+    first.recovery.checkpoint_dir = dir;
+    first.recovery.max_epochs_per_run = 2;
+    EdgeModel partial(first);
+    partial.Fit(*processed_);
+    ASSERT_EQ(partial.loss_history().size(), 2u);
+
+    EdgeModel clean(second);
+    clean.Fit(*processed_);
+    int64_t resumes_before = registry.GetCounter("edge.core.resumes")->value();
+    second.recovery.checkpoint_dir = dir;
+    EdgeModel fresh(second);
+    fresh.Fit(*processed_);
+    EXPECT_EQ(registry.GetCounter("edge.core.resumes")->value(), resumes_before);
+    EXPECT_EQ(fresh.loss_history(), clean.loss_history());  // Full run.
+  }
 }
 
 TEST_F(FitRecoveryTest, CorruptCheckpointFallsBackToFreshRun) {

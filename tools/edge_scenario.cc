@@ -50,13 +50,12 @@ int RunMake(const tools::Args& args) {
   }
   options.world = args.Get("world", options.world);
   options.tweets = static_cast<size_t>(args.GetInt("tweets", static_cast<long>(options.tweets)));
-  options.config.epochs =
-      static_cast<size_t>(args.GetInt("epochs", static_cast<long>(options.config.epochs)));
+  options.config.epochs = static_cast<int>(args.GetInt("epochs", options.config.epochs));
   options.preset.seed =
       static_cast<uint64_t>(args.GetInt("seed", static_cast<long>(options.preset.seed)));
   if (!args.ok()) return 2;
 
-  std::fprintf(stderr, "training demo fixture (world=%s tweets=%zu epochs=%zu)...\n",
+  std::fprintf(stderr, "training demo fixture (world=%s tweets=%zu epochs=%d)...\n",
                options.world.c_str(), options.tweets, options.config.epochs);
   Result<snapshot::SystemSnapshot> snap = snapshot::BuildDemoSnapshot(options);
   if (!snap.ok()) {

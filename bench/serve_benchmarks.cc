@@ -10,11 +10,6 @@
 /// every worker was busy, up to --max-batch), so the rows show what the cap
 /// and --workers change once no request waits for a batch to fill.
 ///
-/// Also writes BENCH_obs.json: the same closed-loop sweep at one fixed
-/// configuration with request telemetry off, on, and on+tracing, so the
-/// observability overhead is a measured number (budget: fully enabled must
-/// stay within 5% of the disabled-path QPS).
-///
 /// The BENCH_serve.json "open_loop" section drives the service the way a
 /// network does: arrivals on a fixed schedule that does not slow down when
 /// the service falls behind (closed-loop clients self-throttle and hide
@@ -37,7 +32,6 @@
 #include "edge/common/check.h"
 #include "edge/common/stopwatch.h"
 #include "edge/core/model_store.h"
-#include "edge/obs/trace.h"
 #include "edge/data/generator.h"
 #include "edge/data/pipeline.h"
 #include "edge/data/worlds.h"
@@ -82,12 +76,11 @@ double PercentileMs(std::vector<double>* latencies, double q) {
 LoadResult RunLoad(const std::string& store, const text::Gazetteer& gazetteer,
                    const std::vector<std::string>& texts, size_t max_batch,
                    size_t workers, bool cache, size_t clients,
-                   size_t requests_per_client, bool telemetry = true) {
+                   size_t requests_per_client) {
   serve::GeoServiceOptions options;
   options.max_batch = max_batch;
   options.num_workers = workers;
   options.cache_capacity = cache ? 4096 : 0;
-  options.telemetry = telemetry;
   std::unique_ptr<serve::GeoService> service = MakeService(store, gazetteer, options);
 
   std::vector<std::vector<double>> latencies(clients);
@@ -300,61 +293,5 @@ int main() {
   std::fclose(out);
   std::fprintf(stderr, "wrote BENCH_serve.json (%zu closed + %zu open-loop runs)\n",
                results.size(), open_loop.size());
-
-  // Observability-overhead comparison at one fixed configuration. The three
-  // modes share the model and request schedule, so the only variable is
-  // the instrumentation itself.
-  const size_t kObsBatch = 8;
-  const size_t kObsWorkers = 2;
-  std::fprintf(stderr, "obs overhead: telemetry=off\n");
-  LoadResult off = RunLoad(store, gazetteer, texts, kObsBatch, kObsWorkers,
-                           /*cache=*/false, kClients, kRequestsPerClient,
-                           /*telemetry=*/false);
-  std::fprintf(stderr, "obs overhead: telemetry=on\n");
-  LoadResult on = RunLoad(store, gazetteer, texts, kObsBatch, kObsWorkers,
-                          /*cache=*/false, kClients, kRequestsPerClient,
-                          /*telemetry=*/true);
-  std::fprintf(stderr, "obs overhead: telemetry=on tracing=on\n");
-  obs::StartTracing();
-  LoadResult traced = RunLoad(store, gazetteer, texts, kObsBatch, kObsWorkers,
-                              /*cache=*/false, kClients, kRequestsPerClient,
-                              /*telemetry=*/true);
-  obs::StopTracing();
-  obs::ClearTrace();
-
-  std::FILE* obs_out = std::fopen("BENCH_obs.json", "w");
-  if (obs_out == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_obs.json for writing\n");
-    return 1;
-  }
-  auto qps = [](const LoadResult& r) {
-    return static_cast<double>(r.requests) / r.seconds;
-  };
-  auto overhead_percent = [&](const LoadResult& r) {
-    return 100.0 * (qps(off) - qps(r)) / qps(off);
-  };
-  auto write_row = [&](const char* mode, const LoadResult& r, bool last) {
-    std::fprintf(obs_out,
-                 "    {\"mode\": \"%s\", \"requests\": %zu, \"qps\": %.1f, "
-                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-                 "\"qps_overhead_percent\": %.2f}%s\n",
-                 mode, r.requests, qps(r), r.p50_ms, r.p99_ms,
-                 overhead_percent(r), last ? "" : ",");
-  };
-  std::fprintf(obs_out, "{\n  \"max_batch\": %zu,\n  \"workers\": %zu,\n",
-               kObsBatch, kObsWorkers);
-  std::fprintf(obs_out, "  \"closed_loop_clients\": %zu,\n", kClients);
-  std::fprintf(obs_out, "  \"requests_per_client\": %zu,\n", kRequestsPerClient);
-  std::fprintf(obs_out, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(obs_out, "  \"runs\": [\n");
-  write_row("telemetry_off", off, false);
-  write_row("telemetry_on", on, false);
-  write_row("telemetry_on_tracing_on", traced, true);
-  std::fprintf(obs_out, "  ]\n}\n");
-  std::fclose(obs_out);
-  std::fprintf(stderr,
-               "wrote BENCH_obs.json (telemetry overhead %.2f%%, +tracing %.2f%%)\n",
-               overhead_percent(on), overhead_percent(traced));
   return 0;
 }

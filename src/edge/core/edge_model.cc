@@ -657,20 +657,6 @@ void EdgeModel::set_num_threads(int n) {
   config_.num_threads = n;
 }
 
-void EdgeModel::PredictBatch(const std::vector<data::ProcessedTweet>& tweets,
-                             std::vector<EdgePrediction>* out) const {
-  EDGE_CHECK(out != nullptr);
-  EDGE_CHECK(store_ != nullptr) << "PredictBatch() before Fit()";
-  EDGE_TRACE_SPAN("edge.core.predict_batch");
-  out->assign(tweets.size(), EdgePrediction{});
-  ScopedNumThreads scoped_threads(config_.num_threads);
-  // Tweets are independent reads of fitted state; indexed writes keep the
-  // output identical to the serial loop at any budget.
-  ParallelFor(0, tweets.size(), /*grain=*/8, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) (*out)[i] = Predict(tweets[i]);
-  });
-}
-
 bool EdgeModel::PredictPoint(const data::ProcessedTweet& tweet, geo::LatLon* out) {
   EDGE_CHECK(out != nullptr);
   *out = Predict(tweet).point;

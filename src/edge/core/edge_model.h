@@ -83,19 +83,13 @@ class EdgeModel : public eval::Geolocator {
   /// cache keys on.
   EdgePrediction Predict(const data::ProcessedTweet& tweet) const;
 
-  /// Tweet-parallel batched Predict() under config().num_threads; output
-  /// equals the serial Predict() loop element-for-element at any budget.
-  /// This is the batch path edge::serve drains its micro-batches through.
-  void PredictBatch(const std::vector<data::ProcessedTweet>& tweets,
-                    std::vector<EdgePrediction>* out) const;
-
   /// The training-set prior answered for tweets with no in-graph entity —
   /// what a serving layer degrades to for shed or timed-out requests.
   EdgePrediction FallbackPrediction() const;
 
-  /// Overrides the inference thread budget (EdgeConfig::num_threads
-  /// semantics: 0 = hardware, 1 = serial). Serving processes tune this on a
-  /// loaded checkpoint, which does not carry a thread budget.
+  /// Overrides PredictPoints' thread budget (EdgeConfig::num_threads
+  /// semantics: 0 = hardware, 1 = serial) on a loaded checkpoint, which does
+  /// not carry a thread budget.
   void set_num_threads(int n);
 
   /// Mean training NLL per epoch (Eq. 13), for convergence tests/plots.

@@ -22,7 +22,7 @@ enum class RequestStage : int {
   kCacheProbe,  ///< LRU lookup on the sorted entity-id key.
   kQueue,       ///< Admission-queue wait (enqueue -> worker pickup).
   kBatch,       ///< Worker pickup -> response set (whole micro-batch drain).
-  kPredict,     ///< PredictBatch model inference (shared across the batch).
+  kPredict,     ///< Model inference for the batch's live requests (shared stamps).
   kStageCount
 };
 

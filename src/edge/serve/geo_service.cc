@@ -17,9 +17,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-Clock::duration MsToDuration(double ms) {
-  return std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double, std::milli>(ms));
+/// `submitted` + `ms`, or time_point::max() (no deadline) when the clock
+/// cannot represent that instant: 1e300 or +inf ms must saturate, not cast
+/// out of range into the int64 tick count.
+Clock::time_point DeadlineAfter(Clock::time_point submitted, double ms) {
+  const std::chrono::duration<double, std::milli> budget(ms);
+  if (!(budget < Clock::time_point::max() - submitted)) {
+    return Clock::time_point::max();
+  }
+  return submitted + std::chrono::duration_cast<Clock::duration>(budget);
 }
 
 double DurationMs(Clock::duration d) {
@@ -76,10 +82,9 @@ ServeMetrics& Metrics() {
   return metrics;
 }
 
-/// Sliding-window instruments behind Stats()/SLO evaluation. Process-global
-/// like every registry instrument; the first call fixes the window length
-/// (services created later with a different telemetry_window_seconds share
-/// these windows — documented on GeoServiceOptions).
+/// Sliding-window instruments behind Stats()/SLO evaluation, at the
+/// instruments' default 60 s window. Process-global like every registry
+/// instrument: services in one process share them.
 struct WindowMetrics {
   obs::WindowedHistogram* latency;
   obs::WindowedCounter* requests;
@@ -91,29 +96,19 @@ struct WindowMetrics {
   obs::WindowedCounter* degraded;
 };
 
-WindowMetrics& Window(double window_seconds) {
-  static WindowMetrics window = [window_seconds] {
+WindowMetrics& Window() {
+  static WindowMetrics window = [] {
     obs::Registry& registry = obs::Registry::Global();
-    obs::WindowedHistogram::Options histogram_options;
-    histogram_options.window_seconds = window_seconds;
-    obs::WindowedCounter::Options counter_options;
-    counter_options.window_seconds = window_seconds;
     WindowMetrics w;
-    w.latency = registry.GetWindowedHistogram("edge.serve.window.latency_seconds",
-                                              histogram_options);
-    w.requests =
-        registry.GetWindowedCounter("edge.serve.window.requests", counter_options);
-    w.cache_hits = registry.GetWindowedCounter("edge.serve.window.cache_hits",
-                                               counter_options);
-    w.cache_misses = registry.GetWindowedCounter("edge.serve.window.cache_misses",
-                                                 counter_options);
-    w.shed = registry.GetWindowedCounter("edge.serve.window.shed", counter_options);
-    w.deadline_expired = registry.GetWindowedCounter(
-        "edge.serve.window.deadline_expired", counter_options);
-    w.fallback = registry.GetWindowedCounter("edge.serve.window.fallback",
-                                             counter_options);
-    w.degraded = registry.GetWindowedCounter("edge.serve.window.degraded",
-                                             counter_options);
+    w.latency = registry.GetWindowedHistogram("edge.serve.window.latency_seconds");
+    w.requests = registry.GetWindowedCounter("edge.serve.window.requests");
+    w.cache_hits = registry.GetWindowedCounter("edge.serve.window.cache_hits");
+    w.cache_misses = registry.GetWindowedCounter("edge.serve.window.cache_misses");
+    w.shed = registry.GetWindowedCounter("edge.serve.window.shed");
+    w.deadline_expired =
+        registry.GetWindowedCounter("edge.serve.window.deadline_expired");
+    w.fallback = registry.GetWindowedCounter("edge.serve.window.fallback");
+    w.degraded = registry.GetWindowedCounter("edge.serve.window.degraded");
     return w;
   }();
   return window;
@@ -144,7 +139,6 @@ Status GeoServiceOptions::Validate() const {
   constexpr size_t kMaxWorkersCap = 1 << 10;
   constexpr size_t kMaxQueueCap = 1 << 24;
   constexpr size_t kMaxCacheCap = 1 << 26;
-  constexpr int kMaxPredictThreadsCap = 1 << 10;
   if (max_batch == 0 || max_batch > kMaxBatchCap) {
     return Status::InvalidArgument("max_batch must be in [1, 65536]");
   }
@@ -159,15 +153,6 @@ Status GeoServiceOptions::Validate() const {
   }
   if (!(default_deadline_ms >= 0.0) || !std::isfinite(default_deadline_ms)) {
     return Status::InvalidArgument("default_deadline_ms must be finite and >= 0");
-  }
-  if (predict_threads < 0 || predict_threads > kMaxPredictThreadsCap) {
-    return Status::InvalidArgument(
-        "predict_threads must be in [0, 1024] (0 = hardware)");
-  }
-  if (!std::isfinite(telemetry_window_seconds) ||
-      telemetry_window_seconds <= 0.0 || telemetry_window_seconds > 3600.0) {
-    return Status::InvalidArgument(
-        "telemetry_window_seconds must be in (0, 3600]");
   }
   if (!std::isfinite(slo_p99_ms) || slo_p99_ms <= 0.0 || slo_p99_ms > 1e6) {
     return Status::InvalidArgument("slo_p99_ms must be in (0, 1e6]");
@@ -195,7 +180,6 @@ Result<std::unique_ptr<GeoService>> GeoService::Create(
   if (model == nullptr) return Status::InvalidArgument("null model");
   Status status = options.Validate();
   if (!status.ok()) return status;
-  model->set_num_threads(options.predict_threads);
   return std::unique_ptr<GeoService>(new GeoService(
       std::move(model), std::move(gazetteer), options, std::move(on_batch_done)));
 }
@@ -213,14 +197,11 @@ GeoService::GeoService(std::unique_ptr<core::EdgeModel> model,
   state->generation = 1;
   state_ = std::move(state);
   Metrics().model_generation->Set(1.0);
-  if (options_.telemetry) {
-    WindowMetrics& window = Window(options_.telemetry_window_seconds);
-    slo_ = std::make_unique<obs::SloMonitor>("edge.serve.slo");
-    slo_->AddLatencyObjective("latency_p99", window.latency, 99.0,
-                              options_.slo_p99_ms * 1e-3);
-    slo_->AddAvailabilityObjective("availability", window.degraded,
-                                   window.requests, options_.slo_availability);
-  }
+  WindowMetrics& window = Window();
+  slo_.AddLatencyObjective("latency_p99", window.latency, 99.0,
+                           options_.slo_p99_ms * 1e-3);
+  slo_.AddAvailabilityObjective("availability", window.degraded, window.requests,
+                                options_.slo_availability);
   workers_.reserve(options_.num_workers);
   for (size_t w = 0; w < options_.num_workers; ++w) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -279,25 +260,21 @@ std::future<ServeResponse> GeoService::SubmitAsync(std::string text,
   EDGE_TRACE_SPAN("edge.serve.submit");
   fault::Probe("serve.submit");  // Latency chaos on the admission path.
   ServeMetrics& metrics = Metrics();
+  WindowMetrics& window = Window();
   metrics.requests->Increment();
   requests_total_.fetch_add(1, std::memory_order_relaxed);
-  const bool telemetry = options_.telemetry;
-  WindowMetrics* window =
-      telemetry ? &Window(options_.telemetry_window_seconds) : nullptr;
   Clock::time_point submitted = Clock::now();
   obs::ScopedTimer submit_timer(metrics.submit_seconds);
 
   Pending pending;
-  if (telemetry) {
-    pending.trace = obs::TraceContext(
-        next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1);
-    window->requests->Increment();
-    pending.trace.Begin(obs::RequestStage::kNer);
-  }
-  pending.entities = ner_.Extract(text);
-  if (telemetry) pending.trace.End(obs::RequestStage::kNer);
+  pending.trace = obs::TraceContext(
+      next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1);
+  window.requests->Increment();
+  pending.trace.Begin(obs::RequestStage::kNer);
+  pending.tweet.entities = ner_.Extract(text);
+  pending.trace.End(obs::RequestStage::kNer);
   pending.submitted = submitted;
-  pending.deadline = deadline_ms > 0.0 ? submitted + MsToDuration(deadline_ms)
+  pending.deadline = deadline_ms > 0.0 ? DeadlineAfter(submitted, deadline_ms)
                                        : Clock::time_point::max();
   std::future<ServeResponse> future = pending.promise.get_future();
 
@@ -305,52 +282,48 @@ std::future<ServeResponse> GeoService::SubmitAsync(std::string text,
     std::lock_guard<std::mutex> lock(mu_);
     // Cache keys are node ids under the *current* model's graph; the cache
     // is cleared whenever that model swaps, so a hit is always current.
-    if (telemetry) pending.trace.Begin(obs::RequestStage::kCacheProbe);
-    std::string cache_key = CacheKey(*state_->model, pending.entities);
+    pending.trace.Begin(obs::RequestStage::kCacheProbe);
+    std::string cache_key = CacheKey(*state_->model, pending.tweet.entities);
     const core::EdgePrediction* hit = cache_.Get(cache_key);
-    if (telemetry) pending.trace.End(obs::RequestStage::kCacheProbe);
+    pending.trace.End(obs::RequestStage::kCacheProbe);
     if (hit != nullptr) {
       metrics.cache_hits->Increment();
+      window.cache_hits->Increment();
       ServeResponse response;
       response.prediction = *hit;
       response.model = state_->model;
       response.from_cache = true;
       response.latency_ms = DurationMs(Clock::now() - submitted);
       metrics.latency_seconds->Observe(response.latency_ms * 1e-3);
-      if (telemetry) {
-        window->cache_hits->Increment();
-        window->latency->Observe(response.latency_ms * 1e-3);
-        if (response.prediction.used_fallback) window->fallback->Increment();
-        FillTelemetry(&response, pending.trace, state_->generation,
-                      /*batch_size=*/0);
-        pending.trace.ExportSpans();
-      }
+      window.latency->Observe(response.latency_ms * 1e-3);
+      if (response.prediction.used_fallback) window.fallback->Increment();
+      FillTelemetry(&response, pending.trace, state_->generation,
+                    /*batch_size=*/0);
+      pending.trace.ExportSpans();
       pending.promise.set_value(std::move(response));
       return future;
     }
     metrics.cache_misses->Increment();
-    if (telemetry) window->cache_misses->Increment();
+    window.cache_misses->Increment();
     if (queue_.size() >= options_.queue_capacity) {
       // Backpressure: answer the fallback prior now instead of growing an
       // unbounded queue (or erroring) under overload.
       metrics.shed->Increment();
+      window.shed->Increment();
+      window.degraded->Increment();
       // The request never entered the pipeline — keep its near-zero
       // turnaround out of the admission-latency histogram.
       submit_timer.Cancel();
       ServeResponse response =
           DegradedResponse(*state_, DegradeReason::kShed, submitted);
       metrics.degraded_latency_seconds->Observe(response.latency_ms * 1e-3);
-      if (telemetry) {
-        window->shed->Increment();
-        window->degraded->Increment();
-        FillTelemetry(&response, pending.trace, state_->generation,
-                      /*batch_size=*/0);
-        pending.trace.ExportSpans();
-      }
+      FillTelemetry(&response, pending.trace, state_->generation,
+                    /*batch_size=*/0);
+      pending.trace.ExportSpans();
       pending.promise.set_value(std::move(response));
       return future;
     }
-    if (telemetry) pending.trace.Begin(obs::RequestStage::kQueue);
+    pending.trace.Begin(obs::RequestStage::kQueue);
     queue_.push_back(std::move(pending));
     metrics.queue_depth->Set(static_cast<double>(queue_.size()));
   }
@@ -371,7 +344,6 @@ uint64_t GeoService::model_generation() const {
 Status GeoService::AdoptReloadedModel(std::unique_ptr<core::EdgeModel> model) {
   if (model == nullptr) return Status::InvalidArgument("null model");
   ServeMetrics& metrics = Metrics();
-  model->set_num_threads(options_.predict_threads);
   auto fresh = std::make_shared<ModelState>();
   fresh->fallback = model->FallbackPrediction();
   fresh->model = std::move(model);
@@ -420,18 +392,14 @@ size_t GeoService::queue_depth() const {
 }
 
 std::vector<obs::SloMonitor::Evaluation> GeoService::EvaluateSlo() const {
-  if (slo_ == nullptr) return {};
-  return slo_->Evaluate();
+  return slo_.Evaluate();
 }
 
 ServiceStats GeoService::Stats() const {
   ServiceStats stats;
-  stats.telemetry_enabled = options_.telemetry;
-  stats.window_seconds = options_.telemetry_window_seconds;
-  if (!options_.telemetry) return stats;
-  WindowMetrics& window = Window(options_.telemetry_window_seconds);
+  WindowMetrics& window = Window();
   obs::WindowedHistogram::Snapshot latency = window.latency->TakeSnapshot();
-  stats.window_seconds = latency.window_seconds;  // The process-wide winner.
+  stats.window_seconds = latency.window_seconds;
   stats.requests_in_window = window.requests->ValueInWindow();
   stats.requests_per_second = window.requests->RatePerSecond();
   stats.served_in_window = latency.count;
@@ -453,8 +421,6 @@ std::string GeoService::StatsJson() const {
   ServiceStats stats = Stats();
   std::string out = "{\"window_seconds\": ";
   AppendJsonDouble(&out, stats.window_seconds);
-  out += ", \"telemetry\": ";
-  out += stats.telemetry_enabled ? "true" : "false";
   out += ", \"requests\": {\"in_window\": " +
          std::to_string(stats.requests_in_window);
   out += ", \"per_second\": ";
@@ -494,7 +460,6 @@ HealthSnapshot GeoService::Health() const {
                                     : static_cast<double>(busy) /
                                           static_cast<double>(options_.num_workers);
   health.fault_armed = fault::Armed();
-  health.telemetry_enabled = options_.telemetry;
   health.requests_total = requests_total_.load(std::memory_order_relaxed);
   health.uptime_seconds =
       std::chrono::duration<double>(Clock::now() - started_).count();
@@ -514,8 +479,6 @@ std::string GeoService::HealthJson() const {
   AppendJsonDouble(&out, health.worker_busy_fraction);
   out += ", \"fault_armed\": ";
   out += health.fault_armed ? "true" : "false";
-  out += ", \"telemetry\": ";
-  out += health.telemetry_enabled ? "true" : "false";
   out += ", \"requests_total\": " + std::to_string(health.requests_total);
   out += ", \"uptime_seconds\": ";
   AppendJsonDouble(&out, health.uptime_seconds);
@@ -548,12 +511,10 @@ bool GeoService::NextBatch(std::vector<Pending>* batch) {
   for (size_t i = 0; i < n; ++i) {
     batch->push_back(std::move(queue_.front()));
     queue_.pop_front();
-    if (options_.telemetry) {
-      // Queue wait ends at worker pickup; the batch stage starts here and
-      // runs until the response is set.
-      batch->back().trace.End(obs::RequestStage::kQueue);
-      batch->back().trace.Begin(obs::RequestStage::kBatch);
-    }
+    // Queue wait ends at worker pickup; the batch stage starts here and runs
+    // until the response is set.
+    batch->back().trace.End(obs::RequestStage::kQueue);
+    batch->back().trace.Begin(obs::RequestStage::kBatch);
   }
   Metrics().queue_depth->Set(static_cast<double>(queue_.size()));
   return true;
@@ -563,11 +524,9 @@ void GeoService::ProcessBatch(std::vector<Pending>* batch) {
   EDGE_TRACE_SPAN("edge.serve.batch");
   fault::Probe("serve.batch");  // Latency chaos on the drain path.
   ServeMetrics& metrics = Metrics();
+  WindowMetrics& window = Window();
   metrics.batches->Increment();
   metrics.batch_size->Observe(static_cast<double>(batch->size()));
-  const bool telemetry = options_.telemetry;
-  WindowMetrics* window =
-      telemetry ? &Window(options_.telemetry_window_seconds) : nullptr;
   const size_t batch_size = batch->size();
   busy_workers_.fetch_add(1, std::memory_order_relaxed);
   obs::ScopedTimer drain_timer(metrics.batch_drain_seconds);
@@ -580,33 +539,25 @@ void GeoService::ProcessBatch(std::vector<Pending>* batch) {
     state = state_;
   }
 
-  // Expired requests degrade to the prior; the rest go through the model's
-  // tweet-parallel batch path.
+  // Expired requests degrade to the prior; the rest are predicted one by one.
   Clock::time_point now = Clock::now();
   std::vector<size_t> live;
-  std::vector<data::ProcessedTweet> tweets;
   live.reserve(batch->size());
-  tweets.reserve(batch->size());
   for (size_t i = 0; i < batch->size(); ++i) {
     Pending& request = (*batch)[i];
     if (now >= request.deadline) {
       metrics.deadline_expired->Increment();
+      window.deadline_expired->Increment();
+      window.degraded->Increment();
       ServeResponse response =
           DegradedResponse(*state, DegradeReason::kDeadline, request.submitted);
       metrics.degraded_latency_seconds->Observe(response.latency_ms * 1e-3);
-      if (telemetry) {
-        window->deadline_expired->Increment();
-        window->degraded->Increment();
-        request.trace.End(obs::RequestStage::kBatch);
-        FillTelemetry(&response, request.trace, state->generation, batch_size);
-        request.trace.ExportSpans();
-      }
+      request.trace.End(obs::RequestStage::kBatch);
+      FillTelemetry(&response, request.trace, state->generation, batch_size);
+      request.trace.ExportSpans();
       request.promise.set_value(std::move(response));
       continue;
     }
-    data::ProcessedTweet tweet;
-    tweet.entities = request.entities;
-    tweets.push_back(std::move(tweet));
     live.push_back(i);
   }
   if (live.empty()) {
@@ -617,13 +568,16 @@ void GeoService::ProcessBatch(std::vector<Pending>* batch) {
     return;
   }
 
-  uint64_t predict_begin_us = telemetry ? obs::TraceNowMicros() : 0;
+  uint64_t predict_begin_us = obs::TraceNowMicros();
   std::vector<core::EdgePrediction> predictions;
+  predictions.reserve(live.size());
   {
     obs::ScopedTimer predict_timer(metrics.predict_seconds);
-    state->model->PredictBatch(tweets, &predictions);
+    for (size_t i : live) {
+      predictions.push_back(state->model->Predict((*batch)[i].tweet));
+    }
   }
-  uint64_t predict_end_us = telemetry ? obs::TraceNowMicros() : 0;
+  uint64_t predict_end_us = obs::TraceNowMicros();
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -631,7 +585,7 @@ void GeoService::ProcessBatch(std::vector<Pending>* batch) {
     // predictions (and their node-id keys) belong to the old generation.
     if (state == state_) {
       for (size_t j = 0; j < live.size(); ++j) {
-        cache_.Put(CacheKey(*state->model, (*batch)[live[j]].entities),
+        cache_.Put(CacheKey(*state->model, (*batch)[live[j]].tweet.entities),
                    predictions[j]);
       }
     }
@@ -643,16 +597,14 @@ void GeoService::ProcessBatch(std::vector<Pending>* batch) {
     response.model = state->model;
     response.latency_ms = DurationMs(Clock::now() - request.submitted);
     metrics.latency_seconds->Observe(response.latency_ms * 1e-3);
-    if (telemetry) {
-      window->latency->Observe(response.latency_ms * 1e-3);
-      if (response.prediction.used_fallback) window->fallback->Increment();
-      // The predict span is batch-wide: every member shares its stamps.
-      request.trace.SetStage(obs::RequestStage::kPredict, predict_begin_us,
-                             predict_end_us);
-      request.trace.End(obs::RequestStage::kBatch);
-      FillTelemetry(&response, request.trace, state->generation, batch_size);
-      request.trace.ExportSpans();
-    }
+    window.latency->Observe(response.latency_ms * 1e-3);
+    if (response.prediction.used_fallback) window.fallback->Increment();
+    // The predict span is batch-wide: every member shares its stamps.
+    request.trace.SetStage(obs::RequestStage::kPredict, predict_begin_us,
+                           predict_end_us);
+    request.trace.End(obs::RequestStage::kBatch);
+    FillTelemetry(&response, request.trace, state->generation, batch_size);
+    request.trace.ExportSpans();
     request.promise.set_value(std::move(response));
   }
   busy_workers_.fetch_sub(1, std::memory_order_relaxed);

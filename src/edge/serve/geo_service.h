@@ -30,11 +30,11 @@
 /// entities to graph node ids and consults an LRU response cache; on a miss
 /// the request enters a bounded admission queue. Worker threads are work
 /// conserving: a free worker takes whatever is queued, up to `max_batch`
-/// requests, the moment it is queued, and runs it through the tweet-parallel
-/// EdgeModel::PredictBatch path. Nothing ever waits for a batch to fill —
-/// GCN diffusion is materialised at fit time, so a served tweet is a row
-/// gather plus attention plus the MDN head and batching saves no work;
-/// batches form only from requests that queued while every worker was busy.
+/// requests, the moment it is queued, and predicts each live request with
+/// EdgeModel::Predict. Nothing ever waits for a batch to fill — GCN
+/// diffusion is materialised at fit time, so a served tweet is a row gather
+/// plus attention plus the MDN head and batching saves no work; batches form
+/// only from requests that queued while every worker was busy.
 ///
 /// An event loop learns that answers are ready from the completion notifier
 /// handed to Create: a worker calls it after fulfilling every promise of a
@@ -45,8 +45,12 @@
 /// model's training-set fallback prior immediately; they never error. Since
 /// EdgeModel::Predict is a bitwise-deterministic pure function of the entity
 /// set, served responses are bitwise-equal to a serial Predict() loop at any
-/// (worker count x batch size x thread budget) combination — which is also
-/// what makes the entity-set-keyed cache exact rather than approximate.
+/// (worker count x batch size) combination — which is also what makes the
+/// entity-set-keyed cache exact rather than approximate.
+///
+/// Telemetry is always on: every request gets a deterministic id and a
+/// stage waterfall, and Stats()/EvaluateSlo() aggregate over the 60 s
+/// windows of the process-global edge.serve.window.* instruments.
 
 namespace edge::serve {
 
@@ -63,16 +67,6 @@ struct GeoServiceOptions {
   /// Default per-request deadline in ms; 0 = no deadline. Requests still
   /// queued past their deadline answer the fallback prior.
   double default_deadline_ms = 0.0;
-  /// EdgeModel thread budget while draining one batch (0 = hardware).
-  int predict_threads = 1;
-  /// Per-request lifecycle telemetry: deterministic request ids, the stage
-  /// waterfall in responses, sliding-window stats and SLO evaluation. Off
-  /// reverts the submit/batch paths to plain cumulative counters.
-  bool telemetry = true;
-  /// Sliding window the stats/SLO instruments aggregate over, in seconds.
-  /// The windowed instruments are process-global: the first service created
-  /// in a process fixes the window length for all of them.
-  double telemetry_window_seconds = 60.0;
   /// Latency SLO: windowed p99 of served (non-degraded) requests must stay
   /// at or below this many milliseconds.
   double slo_p99_ms = 100.0;
@@ -104,7 +98,8 @@ const char* DegradeReasonName(DegradeReason reason);
 
 /// Per-request lifecycle telemetry carried on the response: the request id,
 /// the producing model generation, the micro-batch the request rode in, and
-/// the per-stage latency waterfall. request_id == 0 means telemetry was off.
+/// the per-stage latency waterfall. Every response a service produces has a
+/// request id >= 1.
 /// Stage semantics: a cache hit records ner/cache only; a shed request
 /// records ner/cache; a queued request adds queue/batch/predict.
 struct RequestTelemetry {
@@ -138,7 +133,7 @@ struct ServeResponse {
   DegradeReason degrade_reason = DegradeReason::kNone;
   /// Submit-to-completion wall time.
   double latency_ms = 0.0;
-  /// Lifecycle waterfall; telemetry.request_id == 0 when telemetry is off.
+  /// Lifecycle waterfall.
   RequestTelemetry telemetry;
 };
 
@@ -155,7 +150,6 @@ struct HealthSnapshot {
   /// True when any fault-injection point is armed — a replica that lies
   /// about this would poison fleet-level debugging.
   bool fault_armed = false;
-  bool telemetry_enabled = true;
   uint64_t requests_total = 0;  ///< Lifetime submits to this instance.
   /// Seconds since this instance was constructed. A supervisor comparing
   /// replicas uses this to tell a freshly respawned process (small uptime,
@@ -167,7 +161,6 @@ struct HealthSnapshot {
 /// GeoService::Stats). All latency figures are milliseconds.
 struct ServiceStats {
   double window_seconds = 0.0;
-  bool telemetry_enabled = true;
   int64_t requests_in_window = 0;
   double requests_per_second = 0.0;
   /// Served (non-degraded) responses contributing to the latency window.
@@ -215,12 +208,12 @@ class GeoService {
   /// Blocking convenience: SubmitAsync + get().
   ServeResponse Predict(const std::string& text);
 
-  /// Hot model reload of an already-validated model: sets its thread budget,
-  /// computes its fallback, bumps the generation and atomically swaps it in
-  /// (a null model is an InvalidArgument and changes nothing). In-flight
-  /// batches finish on the model they started with; the response cache is
-  /// cleared with the swap. ReloadFromFile ends here; scenario replay calls
-  /// it with a model built from snapshot bytes.
+  /// Hot model reload of an already-validated model: computes its fallback,
+  /// bumps the generation and atomically swaps it in (a null model is an
+  /// InvalidArgument and changes nothing). In-flight batches finish on the
+  /// model they started with; the response cache is cleared with the swap.
+  /// ReloadFromFile ends here; scenario replay calls it with a model built
+  /// from snapshot bytes.
   Status AdoptReloadedModel(std::unique_ptr<core::EdgeModel> model);
 
   /// Hot reload from an edge-model.v1 file, retrying transient read faults
@@ -256,7 +249,7 @@ class GeoService {
   std::string HealthJson() const;
 
   /// Evaluates the configured SLOs against the current window and publishes
-  /// edge.serve.slo.*.burn_rate/.ok gauges. Empty when telemetry is off.
+  /// edge.serve.slo.*.burn_rate/.ok gauges.
   std::vector<obs::SloMonitor::Evaluation> EvaluateSlo() const;
 
   /// Test hooks: freeze/unfreeze the workers so queue states (full, expired
@@ -266,12 +259,13 @@ class GeoService {
 
  private:
   struct Pending {
-    std::vector<text::Entity> entities;
+    /// The request as the model reads it: NER fills its entities.
+    data::ProcessedTweet tweet;
     std::promise<ServeResponse> promise;
     std::chrono::steady_clock::time_point submitted;
     /// time_point::max() = no deadline.
     std::chrono::steady_clock::time_point deadline;
-    /// Rides along through the queue; default (id 0) when telemetry is off.
+    /// Rides along through the queue.
     obs::TraceContext trace;
   };
 
@@ -318,9 +312,8 @@ class GeoService {
   /// supervisor can distinguish a freshly respawned replica from a survivor.
   std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
-  /// Configured objectives over the process-global windowed instruments;
-  /// null when telemetry is off.
-  std::unique_ptr<obs::SloMonitor> slo_;
+  /// Configured objectives over the process-global windowed instruments.
+  obs::SloMonitor slo_{"edge.serve.slo"};
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -18,13 +18,11 @@ std::string ReloadResultLine(const std::string& id, const Status& status,
   if (status.ok()) {
     out += "\"reload\":\"ok\",\"generation\":" + std::to_string(generation) + "}";
   } else {
-    std::string message = status.ToString();
-    // The Status messages this renders (paths, parse errors) are ASCII; keep
-    // the line valid JSON anyway.
-    for (char& c : message) {
-      if (c == '"' || c == '\\') c = '\'';
-    }
-    out += "\"reload\":\"failed\",\"error\":\"" + message + "\"}";
+    // The message quotes the client's path verbatim: escaped, a newline in
+    // it cannot split the answer into two lines.
+    out += "\"reload\":\"failed\",\"error\":";
+    obs::internal::AppendJsonString(&out, status.ToString());
+    out += "}";
   }
   return out;
 }

@@ -81,7 +81,7 @@ class ServeSession {
 };
 
 /// Rendered acknowledgement for a reload attempt ("ok" + generation, or
-/// "failed" + sanitized error).
+/// "failed" + the JSON-escaped error).
 std::string ReloadResultLine(const std::string& id, const Status& status,
                              uint64_t generation);
 

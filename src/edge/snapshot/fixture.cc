@@ -27,7 +27,6 @@ DemoSnapshotOptions::DemoSnapshotOptions() {
   serve.queue_capacity = 64;
   serve.cache_capacity = 256;
   serve.default_deadline_ms = 0.0;
-  serve.predict_threads = 1;
 }
 
 DemoSnapshotOptions FastDemoSnapshotOptions() {

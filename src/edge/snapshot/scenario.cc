@@ -207,9 +207,6 @@ Result<ScenarioResult> RunScenario(const SystemSnapshot& snapshot,
   // it off regardless of what the snapshot was serving with.
   serve_options.default_deadline_ms = 0.0;
   if (options.num_workers > 0) serve_options.num_workers = options.num_workers;
-  if (options.predict_threads >= 0) {
-    serve_options.predict_threads = options.predict_threads;
-  }
   Status status = serve_options.Validate();
   if (!status.ok()) return status;
 

@@ -17,7 +17,7 @@
 /// emitting a canonical response stream and its FNV-1a digest.
 ///
 /// Determinism contract: one replay of (snapshot, script) produces a
-/// bitwise-identical stream on every run and at every worker/thread budget.
+/// bitwise-identical stream on every run and at every worker budget.
 /// The driver gets this by running each event in lockstep — workers paused,
 /// every request of the event submitted (so cache-hit and queue-shed
 /// decisions depend only on submission order), workers resumed, every future
@@ -73,13 +73,11 @@ struct Scenario {
 /// offending line.
 Result<Scenario> ParseScenario(const std::string& content);
 
-/// Replay knobs. Worker/thread overrides exist so the digest-invariance
-/// tests can replay one snapshot at several budgets.
+/// Replay knobs. The worker override exists so the digest-invariance tests
+/// can replay one snapshot at several worker budgets.
 struct ScenarioRunOptions {
   /// Overrides snapshot serve_options.num_workers when > 0.
   size_t num_workers = 0;
-  /// Overrides snapshot serve_options.predict_threads when >= 0.
-  int predict_threads = -1;
   /// When set, every canonical stream line is also written here (with
   /// trailing newlines) as it is produced.
   std::ostream* out = nullptr;
@@ -120,7 +118,7 @@ Status WriteGoldenFile(const std::string& path, const GoldenRecord& record);
 /// Fingerprint of everything that can legitimately change this build's
 /// float results without a code bug: compiler, libm transcendentals, the
 /// PCG32 stream, and a projection round-trip. Golden digests are compared
-/// only between equal fingerprints (run-to-run and cross-thread-budget
+/// only between equal fingerprints (run-to-run and cross-worker-budget
 /// identity is asserted unconditionally); a golden recorded under a
 /// different toolchain is reported as skipped, not failed.
 std::string BuildFingerprint();

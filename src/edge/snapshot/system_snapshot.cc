@@ -559,23 +559,22 @@ Result<graph::EntityGraph> ParseEntityGraph(const std::string& content) {
 std::string SerializeServeOptions(const serve::GeoServiceOptions& options) {
   std::ostringstream os;
   os.precision(17);
-  os << "EDGE-SERVE-OPTIONS v2\n";
+  os << "EDGE-SERVE-OPTIONS v3\n";
   os << "max_batch " << options.max_batch << "\n";
   os << "num_workers " << options.num_workers << "\n";
   os << "queue_capacity " << options.queue_capacity << "\n";
   os << "cache_capacity " << options.cache_capacity << "\n";
   os << "default_deadline_ms " << options.default_deadline_ms << "\n";
-  os << "predict_threads " << options.predict_threads << "\n";
   return os.str();
 }
 
 Result<serve::GeoServiceOptions> ParseServeOptions(const std::string& content) {
   LineReader reader(content);
   std::string line;
-  // v1 (snapshots saved before serving became work conserving) also carries
-  // the batch-timer line "max_delay_ms <ms>": validated, then dropped.
-  const bool v1 = reader.Next(&line) && line == "EDGE-SERVE-OPTIONS v1";
-  if (!v1 && line != "EDGE-SERVE-OPTIONS v2") {
+  // v2 (snapshots saved before serving dropped its thread budget) also ends
+  // in the line "predict_threads <n>": read, then dropped.
+  const bool v2 = reader.Next(&line) && line == "EDGE-SERVE-OPTIONS v2";
+  if (!v2 && line != "EDGE-SERVE-OPTIONS v3") {
     return Status::InvalidArgument("bad serve options section header");
   }
   serve::GeoServiceOptions options;
@@ -591,28 +590,20 @@ Result<serve::GeoServiceOptions> ParseServeOptions(const std::string& content) {
     *out = static_cast<size_t>(v);
     return Status::Ok();
   };
-  auto read_double = [&](const char* tag, double* out) -> Status {
-    if (!reader.Next(&line)) return TruncatedError("serve", reader);
-    return ParseTaggedDoubles(line, tag, {out});
-  };
   Status status = read_size("max_batch", &options.max_batch);
-  if (status.ok() && v1) {
-    double max_delay_ms = 0.0;
-    status = read_double("max_delay_ms", &max_delay_ms);
-    if (status.ok() && max_delay_ms < 0.0) {
-      status = Status::InvalidArgument("max_delay_ms must be >= 0");
-    }
-  }
   if (status.ok()) status = read_size("num_workers", &options.num_workers);
   if (status.ok()) status = read_size("queue_capacity", &options.queue_capacity);
   if (status.ok()) status = read_size("cache_capacity", &options.cache_capacity);
   if (status.ok()) {
-    status = read_double("default_deadline_ms", &options.default_deadline_ms);
+    if (!reader.Next(&line)) return TruncatedError("serve", reader);
+    status = ParseTaggedDoubles(line, "default_deadline_ms",
+                                {&options.default_deadline_ms});
   }
-  size_t predict_threads = 0;
-  if (status.ok()) status = read_size("predict_threads", &predict_threads);
+  if (status.ok() && v2) {
+    size_t predict_threads = 0;
+    status = read_size("predict_threads", &predict_threads);
+  }
   if (!status.ok()) return status;
-  options.predict_threads = static_cast<int>(predict_threads);
   if (reader.Next(&line)) {
     return Status::InvalidArgument("trailing garbage after serve options section");
   }

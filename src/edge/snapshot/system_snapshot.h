@@ -33,7 +33,9 @@
 /// flips, absurd sizes, out-of-range indices and non-finite values all come
 /// back as a Status — never an abort, never a partially constructed
 /// snapshot. A v1 manifest (whose model section was the retired text
-/// checkpoint) is rejected with a Status naming its version.
+/// checkpoint) is rejected with a Status naming its version. The serving
+/// configuration is written as `EDGE-SERVE-OPTIONS v3`; the parser also reads
+/// v2, dropping its retired predict_threads line.
 
 namespace edge::snapshot {
 

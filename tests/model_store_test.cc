@@ -271,21 +271,12 @@ TEST_F(ModelStoreTest, SerializationIsDeterministic) {
 
 // --- Prediction parity ----------------------------------------------------
 
-TEST_F(ModelStoreTest, StorePredictionsBitwiseMatchTrainedModelAtThreadBudgets) {
-  std::vector<data::ProcessedTweet> tweets = TestTweets();
-  std::vector<EdgePrediction> trained;
-  for (const data::ProcessedTweet& tweet : tweets) {
-    trained.push_back(model_->Predict(tweet));
-  }
+TEST_F(ModelStoreTest, StorePredictionsBitwiseMatchTrainedModel) {
+  // Full mixtures and attention, not just points (core_test's
+  // RoundTripPredictPointsBitwiseAcrossThreadBudgets sweeps thread budgets).
   std::unique_ptr<EdgeModel> store_model = LoadStoreModel(*store_bytes_);
-  for (int threads : {1, 2, 4}) {
-    store_model->set_num_threads(threads);
-    std::vector<EdgePrediction> from_store;
-    store_model->PredictBatch(tweets, &from_store);
-    ASSERT_EQ(from_store.size(), trained.size());
-    for (size_t i = 0; i < from_store.size(); ++i) {
-      ExpectBitwiseEqual(from_store[i], trained[i]);
-    }
+  for (const data::ProcessedTweet& tweet : TestTweets()) {
+    ExpectBitwiseEqual(store_model->Predict(tweet), model_->Predict(tweet));
   }
 }
 

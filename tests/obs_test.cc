@@ -685,7 +685,7 @@ TEST(ObsTraceContextTest, ExportSpansEmitsStageAndUmbrellaSpans) {
 TEST(ObsTraceContextTest, DefaultContextExportsNothing) {
   obs::StartTracing();
   obs::ClearTrace();
-  obs::TraceContext context;  // request_id 0 = telemetry off.
+  obs::TraceContext context;  // request_id 0: no service issued it.
   context.SetStage(obs::RequestStage::kNer, 100, 200);
   context.ExportSpans();
   obs::StopTracing();

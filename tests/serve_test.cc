@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -164,9 +165,6 @@ TEST_F(GeoServiceTest, OptionsValidation) {
   options = GeoServiceOptions();
   options.queue_capacity = 0;
   EXPECT_FALSE(options.Validate().ok());
-  options = GeoServiceOptions();
-  options.predict_threads = -2;
-  EXPECT_FALSE(options.Validate().ok());
 
   options = GeoServiceOptions();
   options.max_batch = 0;
@@ -193,38 +191,32 @@ TEST_F(GeoServiceTest, CreateRejectsCorruptCheckpoint) {
   EXPECT_FALSE(service.ok());
 }
 
-// The tentpole contract: at every (worker count x batch size x model thread
-// budget) combination the service answers bit-for-bit what a serial
-// Predict() loop answers. Caching is off so every request really runs
-// through the batch path.
+// The tentpole contract: at every (worker count x batch size) combination
+// the service answers bit-for-bit what a serial Predict() loop answers.
+// Caching is off so every request really runs through the batch path.
 TEST_F(GeoServiceTest, ServedMatchesSerialAtEveryBudgetAndBatch) {
   for (size_t workers : {1, 2}) {
     for (size_t max_batch : {1, 3, 16}) {
-      for (int predict_threads : {1, 2, 4}) {
-        GeoServiceOptions options;
-        options.max_batch = max_batch;
-        options.num_workers = workers;
-        options.cache_capacity = 0;
-        options.predict_threads = predict_threads;
-        std::unique_ptr<GeoService> service = MakeService(options);
+      GeoServiceOptions options;
+      options.max_batch = max_batch;
+      options.num_workers = workers;
+      options.cache_capacity = 0;
+      std::unique_ptr<GeoService> service = MakeService(options);
 
-        size_t n = std::min<size_t>(60, texts_->size());
-        std::vector<std::future<ServeResponse>> futures;
-        futures.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          futures.push_back(service->SubmitAsync((*texts_)[i]));
-        }
-        for (size_t i = 0; i < n; ++i) {
-          ServeResponse response = futures[i].get();
-          EXPECT_FALSE(response.degraded);
-          EXPECT_FALSE(response.from_cache);
-          SCOPED_TRACE("workers=" + std::to_string(workers) +
-                       " max_batch=" + std::to_string(max_batch) +
-                       " threads=" + std::to_string(predict_threads) +
-                       " tweet=" + std::to_string(i));
-          ExpectBitwiseEqual(response.prediction,
-                             Reference(*service, (*texts_)[i]));
-        }
+      size_t n = std::min<size_t>(60, texts_->size());
+      std::vector<std::future<ServeResponse>> futures;
+      futures.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        futures.push_back(service->SubmitAsync((*texts_)[i]));
+      }
+      for (size_t i = 0; i < n; ++i) {
+        ServeResponse response = futures[i].get();
+        EXPECT_FALSE(response.degraded);
+        EXPECT_FALSE(response.from_cache);
+        SCOPED_TRACE("workers=" + std::to_string(workers) +
+                     " max_batch=" + std::to_string(max_batch) +
+                     " tweet=" + std::to_string(i));
+        ExpectBitwiseEqual(response.prediction, Reference(*service, (*texts_)[i]));
       }
     }
   }
@@ -349,6 +341,30 @@ TEST_F(GeoServiceTest, DeadlineExpiredRequestsDegradeToPrior) {
   ServeResponse normal = unhurried.get();
   EXPECT_FALSE(normal.degraded);
   ExpectBitwiseEqual(normal.prediction, Reference(*service, (*texts_)[1]));
+}
+
+// A deadline the clock cannot represent is no deadline: 1e300 ms and +inf,
+// per request or as the default, must not cast out of range into the clock's
+// int64 ticks, where they land in the past and degrade to the prior.
+TEST_F(GeoServiceTest, UnrepresentableDeadlinesMeanNoDeadline) {
+  GeoServiceOptions options;
+  options.cache_capacity = 0;
+  std::unique_ptr<GeoService> service = MakeService(options);
+  const std::string& text = (*texts_)[0];
+  for (double deadline_ms : {1e300, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(deadline_ms);
+    ServeResponse response = service->SubmitAsync(text, deadline_ms).get();
+    EXPECT_FALSE(response.degraded);
+    EXPECT_EQ(response.degrade_reason, DegradeReason::kNone);
+    ExpectBitwiseEqual(response.prediction, Reference(*service, text));
+  }
+
+  options.default_deadline_ms = 1e300;  // Finite, so Validate accepts it.
+  service = MakeService(options);
+  ServeResponse response = service->Predict(text);
+  EXPECT_FALSE(response.degraded);
+  EXPECT_EQ(response.degrade_reason, DegradeReason::kNone);
+  ExpectBitwiseEqual(response.prediction, Reference(*service, text));
 }
 
 TEST_F(GeoServiceTest, BackpressureShedsToPrior) {
@@ -481,9 +497,6 @@ TEST_F(GeoServiceTest, OptionsValidationRejectsImplausibleCaps) {
   EXPECT_FALSE(options.Validate().ok());
   options = GeoServiceOptions();
   options.cache_capacity = (size_t{1} << 26) + 1;
-  EXPECT_FALSE(options.Validate().ok());
-  options = GeoServiceOptions();
-  options.predict_threads = 1025;
   EXPECT_FALSE(options.Validate().ok());
 }
 
@@ -771,19 +784,6 @@ TEST_F(GeoServiceTest, TelemetryWaterfallCoversTheLifecycle) {
   EXPECT_FALSE(hit.telemetry.queue_ms > 0.0 && hit.telemetry.batch_ms > 0.0);
 }
 
-TEST_F(GeoServiceTest, TelemetryOffMeansNoIdsAndNoJsonKey) {
-  GeoServiceOptions options;
-  options.telemetry = false;
-  std::unique_ptr<GeoService> service = MakeService(options);
-  ServeResponse response = service->Predict((*texts_)[0]);
-  EXPECT_EQ(response.telemetry.request_id, 0u);
-  std::string line = ResponseToJsonLine(response, *service->model(), "r");
-  EXPECT_EQ(line.find("telemetry"), std::string::npos);
-  ServiceStats stats = service->Stats();
-  EXPECT_FALSE(stats.telemetry_enabled);
-  EXPECT_TRUE(service->EvaluateSlo().empty());
-}
-
 // An injected latency fault on the batch path must show up in the windowed
 // p99 within the same window — the "can we see tonight's regression in
 // tonight's stats" drill.
@@ -867,7 +867,6 @@ TEST_F(GeoServiceTest, StatsAndHealthSnapshotsAndJson) {
   EXPECT_GE(health.worker_busy_fraction, 0.0);
   EXPECT_LE(health.worker_busy_fraction, 1.0);
   EXPECT_FALSE(health.fault_armed);
-  EXPECT_TRUE(health.telemetry_enabled);
   EXPECT_EQ(health.requests_total, 1u);
   EXPECT_GE(health.uptime_seconds, 0.0);
 
@@ -900,9 +899,6 @@ TEST_F(GeoServiceTest, StatsAndHealthSnapshotsAndJson) {
 
 TEST_F(GeoServiceTest, TelemetryOptionsValidation) {
   GeoServiceOptions options;
-  options.telemetry_window_seconds = 0.0;
-  EXPECT_FALSE(options.Validate().ok());
-  options = GeoServiceOptions();
   options.slo_p99_ms = -5.0;
   EXPECT_FALSE(options.Validate().ok());
   options = GeoServiceOptions();
@@ -1150,6 +1146,39 @@ TEST_F(GeoServiceTest, ServeSessionReloadWaitsForEarlierAnswers) {
   for (size_t i = 0; i < kHalf; ++i) EXPECT_EQ(out[i], old_before[i]) << i;
   EXPECT_NE(out[kHalf].find(R"("reload":"ok")"), std::string::npos) << out[kHalf];
   for (size_t i = 0; i < kHalf; ++i) EXPECT_EQ(out[kHalf + 1 + i], new_after[i]) << i;
+}
+
+// A failed reload's error quotes the client's path. A path holding a newline
+// or a quote must still answer exactly one valid JSON line that carries the
+// message unaltered: a raw newline would shift every later answer on the
+// stream (and on a router's replica link) by one line.
+TEST_F(GeoServiceTest, ServeSessionFailedReloadAnswersOneValidLine) {
+  std::unique_ptr<GeoService> service = MakeService(GeoServiceOptions());
+  ServeSession session(service.get(), ServeSessionOptions());
+  const std::string path = "no\nsuch \"dir\"\\x.edge";
+  session.HandleLine(R"({"reload": "no\nsuch \"dir\"\\x.edge", "id": "r"})");
+  session.HandleLine(R"({"text": "after", "id": "a"})");
+  std::vector<std::string> out;
+  session.DrainAll(&out);
+  ASSERT_EQ(out.size(), 2u);
+  const std::string& ack = out[0];
+  ASSERT_EQ(ack.find('\n'), std::string::npos) << ack;
+  // The strict request parser accepts the answer as one flat JSON object...
+  ServeRequest parsed;
+  std::string error;
+  ASSERT_TRUE(ParseRequestLine(ack, &parsed, &error)) << error << ": " << ack;
+  EXPECT_EQ(parsed.id, "r");
+  // ...and the error value decodes back to the Status message, path intact.
+  const std::string prefix = R"({"id":"r","reload":"failed","error":)";
+  ASSERT_EQ(ack.rfind(prefix, 0), 0u) << ack;
+  ASSERT_EQ(ack.back(), '}');
+  std::string value = ack.substr(prefix.size(), ack.size() - prefix.size() - 1);
+  ServeRequest decoded;
+  ASSERT_TRUE(ParseRequestLine("{\"text\":" + value + "}", &decoded, &error))
+      << error;
+  EXPECT_EQ(decoded.text, service->ReloadFromFile(path).ToString());
+  EXPECT_NE(decoded.text.find(path), std::string::npos) << decoded.text;
+  EXPECT_NE(out[1].find(R"("id":"a")"), std::string::npos) << out[1];
 }
 
 TEST_F(GeoServiceTest, ResponseJsonIsWellFormedAndEchoesId) {

@@ -102,45 +102,55 @@ TEST(SystemSnapshotTest, ServeOptionsSectionRoundTrips) {
   options.queue_capacity = 64;
   options.cache_capacity = 128;
   options.default_deadline_ms = 17.5;
-  options.predict_threads = 2;
   std::string serialized = SerializeServeOptions(options);
-  EXPECT_EQ(serialized.rfind("EDGE-SERVE-OPTIONS v2\nmax_batch 8\nnum_workers 3\n", 0),
-            0u)
-      << serialized;
+  EXPECT_EQ(serialized,
+            "EDGE-SERVE-OPTIONS v3\nmax_batch 8\nnum_workers 3\nqueue_capacity "
+            "64\ncache_capacity 128\ndefault_deadline_ms 17.5\n");
   Result<serve::GeoServiceOptions> parsed = ParseServeOptions(serialized);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(serialized, SerializeServeOptions(parsed.value()));
   EXPECT_EQ(parsed.value().num_workers, 3u);
-  EXPECT_EQ(parsed.value().predict_threads, 2);
+  EXPECT_EQ(parsed.value().default_deadline_ms, 17.5);
 }
 
-TEST(SystemSnapshotTest, ServeOptionsV1SectionStillParses) {
-  // Snapshots saved before serving became work conserving carry the batch
-  // timer's max_delay_ms line: it is validated, then dropped.
-  const std::string v1 =
-      "EDGE-SERVE-OPTIONS v1\nmax_batch 8\nmax_delay_ms 1\nnum_workers "
-      "2\nqueue_capacity 64\ncache_capacity 256\ndefault_deadline_ms "
-      "0\npredict_threads 1\n";
-  Result<serve::GeoServiceOptions> parsed = ParseServeOptions(v1);
+TEST(SystemSnapshotTest, ServeOptionsV2SectionStillParses) {
+  // Snapshots saved before serving dropped its thread budget end in a
+  // predict_threads line: it is read, then dropped. v1 (with the batch
+  // timer's max_delay_ms line) is refused.
+  const std::string v2 =
+      "EDGE-SERVE-OPTIONS v2\nmax_batch 8\nnum_workers 2\nqueue_capacity "
+      "64\ncache_capacity 256\ndefault_deadline_ms 0\npredict_threads 1\n";
+  Result<serve::GeoServiceOptions> parsed = ParseServeOptions(v2);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().max_batch, 8u);
   EXPECT_EQ(parsed.value().num_workers, 2u);
   EXPECT_EQ(parsed.value().queue_capacity, 64u);
   EXPECT_EQ(parsed.value().cache_capacity, 256u);
-  // Re-saving writes v2, which has no timer line.
-  EXPECT_EQ(SerializeServeOptions(parsed.value()).find("max_delay_ms"),
-            std::string::npos);
+  EXPECT_EQ(parsed.value().default_deadline_ms, 0.0);
+  // Re-saving writes v3, which has no thread-budget line.
+  std::string resaved = SerializeServeOptions(parsed.value());
+  EXPECT_EQ(resaved.rfind("EDGE-SERVE-OPTIONS v3\n", 0), 0u) << resaved;
+  EXPECT_EQ(resaved.find("predict_threads"), std::string::npos);
 
-  std::string negative = v1;
-  negative.replace(negative.find("max_delay_ms 1"), 14, "max_delay_ms -1");
+  std::string negative = v2;
+  negative.replace(negative.find("predict_threads 1"), 17, "predict_threads -1");
   EXPECT_FALSE(ParseServeOptions(negative).ok());
-  std::string missing = v1;
-  missing.erase(missing.find("max_delay_ms 1\n"), 15);
+  std::string missing = v2;
+  missing.erase(missing.find("predict_threads 1\n"), 18);
   EXPECT_FALSE(ParseServeOptions(missing).ok());
-  // v2 has no such line: a v2 header over a v1 body is rejected.
-  std::string mislabelled = v1;
-  mislabelled.replace(0, 21, "EDGE-SERVE-OPTIONS v2");
+  // v3 has no such line: a v3 header over a v2 body is rejected.
+  std::string mislabelled = v2;
+  mislabelled.replace(0, 21, "EDGE-SERVE-OPTIONS v3");
   EXPECT_FALSE(ParseServeOptions(mislabelled).ok());
+
+  const std::string v1 =
+      "EDGE-SERVE-OPTIONS v1\nmax_batch 8\nmax_delay_ms 1\nnum_workers "
+      "2\nqueue_capacity 64\ncache_capacity 256\ndefault_deadline_ms "
+      "0\npredict_threads 1\n";
+  Result<serve::GeoServiceOptions> refused = ParseServeOptions(v1);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().ToString().find("header"), std::string::npos)
+      << refused.status().ToString();
 }
 
 // --- Full save/load cycle ------------------------------------------------
@@ -507,11 +517,16 @@ TEST(SystemSnapshotTest, VocabParserRejectsInconsistentCounts) {
 TEST(SystemSnapshotTest, ServeOptionsParserDefersToValidate) {
   // Parse succeeds syntactically but GeoServiceOptions::Validate's caps
   // still gate the result (e.g. an absurd worker count).
-  std::string absurd =
-      "EDGE-SERVE-OPTIONS v1\nmax_batch 8\nmax_delay_ms 1\nnum_workers "
-      "9999999\nqueue_capacity 64\ncache_capacity 64\ndefault_deadline_ms "
-      "0\npredict_threads 1\n";
-  EXPECT_FALSE(ParseServeOptions(absurd).ok());
+  const std::string sane =
+      "EDGE-SERVE-OPTIONS v3\nmax_batch 8\nnum_workers 2\nqueue_capacity "
+      "64\ncache_capacity 64\ndefault_deadline_ms 0\n";
+  ASSERT_TRUE(ParseServeOptions(sane).ok());
+  std::string absurd = sane;
+  absurd.replace(absurd.find("num_workers 2"), 13, "num_workers 9999999");
+  Result<serve::GeoServiceOptions> parsed = ParseServeOptions(absurd);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().ToString().find("num_workers"), std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(SystemSnapshotTest, CaptureRequiresFittedModel) {

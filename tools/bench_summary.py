@@ -3,11 +3,10 @@
 
 Usage: python3 tools/bench_summary.py [repo_root]
 
-Reads BENCH_model_store.json, BENCH_serve.json and BENCH_obs.json from the
-repo root (the copies committed by each perf PR) and renders them as aligned
-tables, so a reviewer can see the performance story without opening JSON.
-Exits non-zero if a file is missing or malformed — CI uses that as a "did
-the PR ship its numbers" check.
+Reads BENCH_model_store.json and BENCH_serve.json from the repo root (the
+committed copies) and renders them as aligned tables, so the performance
+story reads without opening JSON. Exits non-zero if a file is missing or
+malformed.
 """
 
 import json
@@ -107,20 +106,6 @@ def main():
     table(
         "serve: closed-loop load sweep",
         ("max_batch", "workers", "cache", "QPS", "p50 ms", "p99 ms"),
-        rows,
-    )
-
-    obs = load(root, "BENCH_obs.json")
-    rows = []
-    baseline = None
-    for r in obs.get("runs", []):
-        if baseline is None:
-            baseline = r["qps"]
-        overhead = (1.0 - r["qps"] / baseline) * 100 if baseline else 0.0
-        rows.append((r["mode"], f'{r["qps"]:.0f}', f'{r["p99_ms"]:.2f}', f"{overhead:+.1f}%"))
-    table(
-        "serve: observability overhead",
-        ("mode", "QPS", "p99 ms", "QPS overhead"),
         rows,
     )
     print()

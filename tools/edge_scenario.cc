@@ -13,7 +13,9 @@
 ///
 /// `run` exits non-zero on replay errors and on a golden digest mismatch
 /// under a matching build fingerprint; a fingerprint mismatch (different
-/// toolchain/libm than the recording) is reported and skipped.
+/// toolchain/libm than the recording) is reported and skipped. Both commands
+/// exit 2 on a flag they do not read, so a typo or a removed option is never
+/// silently ignored.
 
 #include <cstdio>
 #include <iostream>
@@ -33,8 +35,7 @@ int Usage() {
                "  edge_scenario make --out DIR [--world nyma|ny2020|lama]\n"
                "                     [--tweets N] [--epochs N] [--seed N] [--fast]\n"
                "  edge_scenario run  --snapshot DIR --script FILE [--workers N]\n"
-               "                     [--threads N] [--quiet] [--golden FILE]\n"
-               "                     [--update-goldens]\n");
+               "                     [--quiet] [--golden FILE] [--update-goldens]\n");
   return 2;
 }
 
@@ -54,6 +55,7 @@ int RunMake(const tools::Args& args) {
   options.preset.seed =
       static_cast<uint64_t>(args.GetInt("seed", static_cast<long>(options.preset.seed)));
   if (!args.ok()) return 2;
+  if (!tools::NoUnreadFlags(args)) return Usage();
 
   std::fprintf(stderr, "training demo fixture (world=%s tweets=%zu epochs=%d)...\n",
                options.world.c_str(), options.tweets, options.config.epochs);
@@ -81,8 +83,11 @@ int RunReplay(const tools::Args& args) {
     return 2;
   }
   long workers = args.GetInt("workers", 0);
-  long threads = args.GetInt("threads", -1);
+  std::string golden_path = args.Get("golden");
+  bool update_goldens = args.Has("update-goldens");
+  bool quiet = args.Has("quiet");
   if (!args.ok() || workers < 0) return 2;
+  if (!tools::NoUnreadFlags(args)) return Usage();
 
   Result<snapshot::SystemSnapshot> snap = snapshot::LoadSystemSnapshot(snapshot_dir);
   if (!snap.ok()) {
@@ -103,8 +108,7 @@ int RunReplay(const tools::Args& args) {
 
   snapshot::ScenarioRunOptions run_options;
   run_options.num_workers = static_cast<size_t>(workers);
-  run_options.predict_threads = static_cast<int>(threads);
-  if (!args.Has("quiet")) run_options.out = &std::cout;
+  if (!quiet) run_options.out = &std::cout;
 
   Result<snapshot::ScenarioResult> result =
       snapshot::RunScenario(snap.value(), scenario.value(), run_options);
@@ -120,10 +124,9 @@ int RunReplay(const tools::Args& args) {
                scenario.value().name.c_str(), replay.digest.c_str(), replay.requests,
                replay.cache_hits, replay.shed, fingerprint.c_str());
 
-  std::string golden_path = args.Get("golden");
   if (golden_path.empty()) return 0;
 
-  if (args.Has("update-goldens")) {
+  if (update_goldens) {
     snapshot::GoldenRecord record;
     record.scenario = scenario.value().name;
     record.fingerprint = fingerprint;

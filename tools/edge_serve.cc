@@ -31,8 +31,6 @@
 ///   --queue-capacity N      admission queue bound             (default 1024)
 ///   --cache-capacity N      LRU response cache entries, 0=off (default 4096)
 ///   --deadline-ms D         default per-request deadline, 0=none (default 0)
-///   --predict-threads N     model threads per batch, 0=hw     (default 1)
-///   --telemetry B           request ids/waterfalls/window stats (default true)
 ///   --slo-p99-ms D          latency SLO threshold              (default 100)
 ///   --slo-availability F    availability SLO target            (default 0.999)
 ///   --metrics-export p.json periodic atomic metrics+health snapshot
@@ -143,7 +141,6 @@ int Usage() {
                "  [--max-line-bytes N]\n"
                "  [--max-batch N] [--workers N]\n"
                "  [--queue-capacity N] [--cache-capacity N] [--deadline-ms D]\n"
-               "  [--predict-threads N] [--telemetry true|false]\n"
                "  [--store-verify full|fast]\n"
                "  [--slo-p99-ms D] [--slo-availability F]\n"
                "  [--metrics-export m.json] [--metrics-export-every S]\n"
@@ -360,15 +357,6 @@ int main(int argc, char** argv) {
   options.cache_capacity = static_cast<size_t>(
       args.GetInt("cache-capacity", static_cast<long>(options.cache_capacity)));
   options.default_deadline_ms = args.GetDouble("deadline-ms", 0.0);
-  options.predict_threads =
-      static_cast<int>(args.GetInt("predict-threads", options.predict_threads));
-  std::string telemetry_flag = args.Get("telemetry", "true");
-  if (telemetry_flag != "true" && telemetry_flag != "false") {
-    std::fprintf(stderr, "--telemetry: '%s' is not true or false\n",
-                 telemetry_flag.c_str());
-    return Usage();
-  }
-  options.telemetry = telemetry_flag == "true";
   options.slo_p99_ms = args.GetDouble("slo-p99-ms", options.slo_p99_ms);
   options.slo_availability =
       args.GetDouble("slo-availability", options.slo_availability);

@@ -150,10 +150,6 @@ class ReplicaSupervisor {
 
   /// True when the replica may take traffic (kUp).
   bool TakesTraffic() const { return state_ == ReplicaHealth::kUp; }
-  /// True when the replica should receive health probes (kUp | kProbation).
-  bool WantsProbes() const {
-    return state_ == ReplicaHealth::kUp || state_ == ReplicaHealth::kProbation;
-  }
 
   // --- observability -------------------------------------------------------
 

@@ -1,6 +1,7 @@
 #ifndef EDGE_OBS_JSON_UTIL_H_
 #define EDGE_OBS_JSON_UTIL_H_
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -35,12 +36,16 @@ inline void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
+/// Writes the bytes of printf's "%.17g" in the C locale, which is how the
+/// standard defines this to_chars overload — at a fraction of snprintf's
+/// cost, which matters at about 57 doubles per served answer.
 inline void AppendJsonDouble(std::string* out, double v) {
   if (std::isnan(v)) v = 0.0;
   if (std::isinf(v)) v = v > 0 ? 1e308 : -1e308;
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
+  const std::to_chars_result written = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out->append(buf, written.ptr);
 }
 
 }  // namespace edge::obs::internal

@@ -148,6 +148,28 @@ int DenseThreadId() {
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level), file_(file), line_(line) {}
 
+LogMessage& LogMessage::operator<<(const LogField& field) {
+  fields_ << ' ' << field.key << '=';
+  for (char c : field.value) {
+    const auto byte = static_cast<unsigned char>(c);
+    switch (c) {
+      case '\\': fields_ << "\\\\"; break;
+      case '\n': fields_ << "\\n"; break;
+      case '\r': fields_ << "\\r"; break;
+      case '\t': fields_ << "\\t"; break;
+      default:
+        if (byte < 0x20 || byte == 0x7f) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\x%02x", byte);
+          fields_ << buf;
+        } else {
+          fields_ << c;
+        }
+    }
+  }
+  return *this;
+}
+
 LogMessage::~LogMessage() {
   auto now = std::chrono::system_clock::now();
   std::time_t seconds = std::chrono::system_clock::to_time_t(now);

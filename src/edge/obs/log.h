@@ -60,7 +60,10 @@ void SetLogToStderr(bool enabled);
 int DenseThreadId();
 
 /// A key=value structured field. Build with Kv() so any streamable value
-/// works; fields render as ` key=value` appended to the message.
+/// works; fields render as ` key=value` appended to the message. Values may
+/// carry client bytes (a reload path), so they render escaped: `\\`, `\n`,
+/// `\r`, `\t`, and `\xHH` for any other byte below 0x20 and for 0x7f. One
+/// statement stays one line.
 struct LogField {
   std::string key;
   std::string value;
@@ -83,10 +86,7 @@ class LogMessage {
   LogMessage(const LogMessage&) = delete;
   LogMessage& operator=(const LogMessage&) = delete;
 
-  LogMessage& operator<<(const LogField& field) {
-    fields_ << ' ' << field.key << '=' << field.value;
-    return *this;
-  }
+  LogMessage& operator<<(const LogField& field);
 
   template <typename T>
   LogMessage& operator<<(const T& value) {

@@ -74,6 +74,39 @@ struct JsonCursor {
     }
   }
 
+  /// Length of the well-formed UTF-8 sequence (RFC 3629) whose lead byte,
+  /// >= 0x80, is line[at]; 0 when it is malformed: a stray continuation
+  /// byte, an overlong form, an encoded surrogate, a code point above
+  /// U+10FFFF or a sequence cut short.
+  size_t Utf8SequenceLength(size_t at) const {
+    auto byte = [this](size_t i) -> unsigned {
+      return i < line.size() ? static_cast<unsigned char>(line[i]) : 0u;
+    };
+    const unsigned lead = byte(at);
+    size_t length = 0;
+    // Bounds of the second byte; every later byte is 80..BF.
+    unsigned low = 0x80;
+    unsigned high = 0xBF;
+    if (lead >= 0xC2 && lead <= 0xDF) {
+      length = 2;
+    } else if (lead >= 0xE0 && lead <= 0xEF) {
+      length = 3;
+      if (lead == 0xE0) low = 0xA0;   // Overlong below U+0800.
+      if (lead == 0xED) high = 0x9F;  // U+D800..DFFF are surrogates.
+    } else if (lead >= 0xF0 && lead <= 0xF4) {
+      length = 4;
+      if (lead == 0xF0) low = 0x90;   // Overlong below U+10000.
+      if (lead == 0xF4) high = 0x8F;  // Above U+10FFFF.
+    } else {
+      return 0;  // Continuation byte, C0/C1 overlong lead, or F5..FF.
+    }
+    for (size_t k = 1; k < length; ++k) {
+      const unsigned b = byte(at + k);
+      if (b < (k == 1 ? low : 0x80u) || b > (k == 1 ? high : 0xBFu)) return 0;
+    }
+    return length;
+  }
+
   bool ParseString(std::string* out) {
     SkipSpace();
     if (pos >= line.size() || line[pos] != '"') return Fail("expected string");
@@ -82,6 +115,16 @@ struct JsonCursor {
     while (pos < line.size()) {
       char c = line[pos++];
       if (c == '"') return true;
+      if (static_cast<unsigned char>(c) >= 0x80) {
+        // Strings are echoed into answers (the id, a failed reload's path),
+        // and an answer must stay JSON, so only well-formed UTF-8 gets in.
+        --pos;  // Back to the lead byte: the offset Fail reports.
+        const size_t length = Utf8SequenceLength(pos);
+        if (length == 0) return Fail("invalid UTF-8 in string");
+        out->append(line, pos, length);
+        pos += length;
+        continue;
+      }
       if (c != '\\') {
         out->push_back(c);
         continue;

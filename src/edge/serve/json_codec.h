@@ -26,6 +26,10 @@
 ///   - string escapes are RFC 8259's; `\uXXXX` decodes UTF-16, combining
 ///     surrogate pairs into one 4-byte UTF-8 code point (an escaped emoji is
 ///     real UTF-8, not two CESU-8 triples) and rejecting lone surrogates;
+///   - unescaped bytes >= 0x80 must be well-formed UTF-8 (RFC 3629): stray
+///     continuation bytes, overlongs, encoded surrogates, code points above
+///     U+10FFFF and cut-short sequences are parse errors, so a string echoed
+///     into an answer (the id, a failed reload's path) keeps it JSON;
 ///   - every key must carry a value (`{"x":}` is an error) and nothing may
 ///     follow the closing brace;
 ///   - unknown keys with scalar values are skipped, so old clients keep

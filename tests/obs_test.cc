@@ -4,10 +4,13 @@
 /// of the metrics snapshot and the Chrome trace export, and the EDGE_CHECK
 /// failure routing through the log sinks.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +22,7 @@
 #include "edge/common/stopwatch.h"
 #include "edge/common/thread_pool.h"
 #include "edge/obs/exporter.h"
+#include "edge/obs/json_util.h"
 #include "edge/obs/log.h"
 #include "edge/obs/metrics.h"
 #include "edge/obs/slo.h"
@@ -208,6 +212,29 @@ TEST(ObsLogTest, StructuredFieldsAndPrefix) {
   EXPECT_NE(contents.find("tid="), std::string::npos);  // Thread id field.
 }
 
+// A field value is client-controlled in places (a reload path), so its
+// control bytes must not start a new log line or forge a field.
+TEST(ObsLogTest, FieldValuesRenderEscapedOnOneLine) {
+  LogCapture capture("escaped");
+  obs::SetLogLevel(obs::LogLevel::kInfo);
+  EDGE_LOG(WARN) << "model reload rejected"
+                 << obs::Kv("path", "a\nb.edge\n2026-01-01 E forged.cc:1] x")
+                 << obs::Kv("ctl", std::string("\r\t\\\x01\x1f\x7f\0z", 8))
+                 << obs::Kv("plain", "caf\xC3\xA9 x=1");
+  std::string contents = capture.Contents();
+  ASSERT_FALSE(contents.empty());
+  EXPECT_EQ(std::count(contents.begin(), contents.end(), '\n'), 1) << contents;
+  EXPECT_NE(contents.find(" path=a\\nb.edge\\n2026-01-01 E forged.cc:1] x "),
+            std::string::npos)
+      << contents;
+  EXPECT_NE(contents.find(" ctl=\\r\\t\\\\\\x01\\x1f\\x7f\\x00z "),
+            std::string::npos)
+      << contents;
+  // Values without those bytes render unchanged, UTF-8 included.
+  EXPECT_NE(contents.find(" plain=caf\xC3\xA9 x=1\n"), std::string::npos)
+      << contents;
+}
+
 TEST(ObsLogTest, FilteredStatementDoesNotEvaluateOperands) {
   obs::SetLogLevel(obs::LogLevel::kWarn);
   int evaluations = 0;
@@ -261,6 +288,44 @@ TEST(ObsLogDeathTest, CheckFailureRoutesThroughLogSinks) {
   // message must still reach stderr (via the logger's stderr sink) and the
   // process must still abort.
   EXPECT_DEATH({ EDGE_CHECK(1 == 2) << "boom_token_42"; }, "boom_token_42");
+}
+
+// AppendJsonDouble renders with std::to_chars, which the standard defines as
+// printf's "%.17g" in the C locale: the bytes must match snprintf exactly,
+// since every golden digest and canonical stream hashes them.
+TEST(ObsJsonTest, AppendJsonDoubleWritesTheBytesOfPrintfG17) {
+  auto reference = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  auto rendered = [](double v) {
+    std::string out = "[";
+    obs::internal::AppendJsonDouble(&out, v);
+    return out.substr(1);
+  };
+  std::vector<double> values = {
+      0.0,     -0.0,   1.0,    -1.0,    42.0,   1e308,  -1e308,
+      5e-324,  -5e-324, std::numeric_limits<double>::min(),
+      -std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(), 0.1,  1e-5,   1e-4,   1e16,
+      1e17,    1.2e19, 1.0 / 3.0, 123456789012345678.0, 9007199254740993.0,
+      40.7128, -74.006, 0.5,  2.5e-7};
+  std::mt19937_64 rng(20211);
+  std::uniform_real_distribution<double> degrees(-180.0, 180.0);
+  for (int i = 0; i < 20000; ++i) values.push_back(degrees(rng));
+  for (double v : values) {
+    ASSERT_EQ(rendered(v), reference(v)) << "value " << reference(v);
+  }
+  // Non-finite values clamp (JSON has no inf/nan).
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(rendered(std::numeric_limits<double>::quiet_NaN()), "0");
+  EXPECT_EQ(rendered(inf), reference(1e308));
+  EXPECT_EQ(rendered(-inf), reference(-1e308));
+  // Appends: what was already in the buffer stays.
+  std::string out = "x=";
+  obs::internal::AppendJsonDouble(&out, 0.25);
+  EXPECT_EQ(out, "x=0.25");
 }
 
 TEST(ObsMetricsTest, CounterSemantics) {

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -1048,6 +1049,73 @@ TEST(JsonCodecTest, DecodesSurrogatePairsToUtf8) {
       ParseRequestLine(R"({"text": "\ud83cA"})", &request, &error));
 }
 
+// Bytes >= 0x80 inside a JSON string must be well-formed UTF-8 (RFC 3629):
+// strings are echoed into answers (the id, a failed reload's path), and a
+// raw 0xff there made an answer that is not JSON. Every class of malformed
+// sequence is rejected in each string field the codec reads; the boundary
+// code points of each sequence length pass through byte for byte.
+TEST(JsonCodecTest, RejectsMalformedUtf8InEveryStringField) {
+  const std::vector<std::pair<std::string, std::string>> malformed = {
+      {"stray continuation 80", "\x80"},
+      {"stray continuation BF", "\xBF"},
+      {"two-byte overlong (C0)", "\xC0\xAF"},
+      {"two-byte overlong (C1)", "\xC1\xBF"},
+      {"three-byte overlong", "\xE0\x80\xAF"},
+      {"three-byte overlong below U+0800", "\xE0\x9F\xBF"},
+      {"four-byte overlong", "\xF0\x8F\xBF\xBF"},
+      {"encoded high surrogate", "\xED\xA0\x80"},
+      {"encoded low surrogate", "\xED\xBF\xBF"},
+      {"above U+10FFFF (F4 90)", "\xF4\x90\x80\x80"},
+      {"above U+10FFFF (F5 lead)", "\xF5\x80\x80\x80"},
+      {"lead byte FE", "\xFE"},
+      {"lead byte FF", "\xFF"},
+      {"two-byte cut short by the quote", "\xC3"},
+      {"three-byte cut short by the quote", "\xE2\x82"},
+      {"four-byte cut short by the quote", "\xF0\x9F\x8D"},
+      {"cut short by ASCII", "\xE2\x82" "A"},
+  };
+  // Each string field the codec reads, skipped unknown keys included.
+  const std::vector<std::pair<std::string, std::string>> fields = {
+      {"{\"text\":\"ok ", "\"}"},
+      {"{\"id\":\"ok ", "\",\"text\":\"x\"}"},
+      {"{\"reload\":\"ok ", ".edge\"}"},
+      {"{\"text\":\"x\",\"unknown\":\"ok ", "\"}"},
+  };
+  for (const auto& [prefix, suffix] : fields) {
+    const std::string at_offset =
+        "invalid UTF-8 in string at offset " + std::to_string(prefix.size());
+    for (const auto& [what, bytes] : malformed) {
+      ServeRequest request;
+      std::string error;
+      EXPECT_FALSE(ParseRequestLine(prefix + bytes + suffix, &request, &error))
+          << what << " in " << prefix;
+      EXPECT_EQ(error, at_offset) << what << " in " << prefix;
+    }
+    // A line that ends inside a sequence.
+    ServeRequest request;
+    std::string error;
+    EXPECT_FALSE(ParseRequestLine(prefix + "\xE2\x82", &request, &error));
+    EXPECT_EQ(error, at_offset) << prefix;
+  }
+  const std::string boundaries =
+      "\xC2\x80" "\xDF\xBF"                       // U+0080, U+07FF
+      "\xE0\xA0\x80" "\xED\x9F\xBF"               // U+0800, U+D7FF
+      "\xEE\x80\x80" "\xEF\xBF\xBF"               // U+E000, U+FFFF
+      "\xF0\x90\x80\x80" "\xF4\x8F\xBF\xBF";      // U+10000, U+10FFFF
+  ServeRequest request;
+  std::string error;
+  ASSERT_TRUE(ParseRequestLine("{\"id\":\"" + boundaries + "\",\"text\":\"" +
+                                   boundaries + "\"}",
+                               &request, &error))
+      << error;
+  EXPECT_EQ(request.id, boundaries);
+  EXPECT_EQ(request.text, boundaries);
+  ASSERT_TRUE(ParseRequestLine("{\"reload\":\"" + boundaries + ".edge\"}",
+                               &request, &error))
+      << error;
+  EXPECT_EQ(request.reload_path, boundaries + ".edge");
+}
+
 // Regression: SkipScalar treated "no recognized token" as an empty scalar,
 // so {"x":} and a dangling comma parsed cleanly. A key now requires a value.
 TEST(JsonCodecTest, RejectsEmptyAndTrailingValues) {
@@ -1179,6 +1247,25 @@ TEST_F(GeoServiceTest, ServeSessionFailedReloadAnswersOneValidLine) {
   EXPECT_EQ(decoded.text, service->ReloadFromFile(path).ToString());
   EXPECT_NE(decoded.text.find(path), std::string::npos) << decoded.text;
   EXPECT_NE(out[1].find(R"("id":"a")"), std::string::npos) << out[1];
+}
+
+// Regression: an id or reload path holding bytes that are not UTF-8 was
+// echoed raw, so the answer was not JSON. Both lines now answer a parse
+// error in their slot, and the stream carries on.
+TEST_F(GeoServiceTest, ServeSessionAnswersJsonToInvalidUtf8) {
+  std::unique_ptr<GeoService> service = MakeService(GeoServiceOptions());
+  ServeSession session(service.get(), ServeSessionOptions());
+  session.HandleLine("{\"id\":\"\xff\",\"text\":\"x\"}");
+  session.HandleLine("{\"id\":\"u\",\"reload\":\"\xff\xfe.edge\"}");
+  session.HandleLine(R"({"text": "after", "id": "a"})");
+  std::vector<std::string> out;
+  session.DrainAll(&out);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0],
+            R"({"error":"invalid UTF-8 in string at offset 7","line":1})");
+  EXPECT_EQ(out[1],
+            R"({"error":"invalid UTF-8 in string at offset 20","line":2})");
+  EXPECT_EQ(out[2].rfind(R"({"id":"a",)", 0), 0u) << out[2];
 }
 
 TEST_F(GeoServiceTest, ResponseJsonIsWellFormedAndEchoesId) {

@@ -122,7 +122,6 @@ TEST(ReplicaSupervisorTest, StartsUpAndTakesTraffic) {
   ReplicaSupervisor sup(FastSup(), 1, 0.0);
   EXPECT_EQ(sup.state(), ReplicaHealth::kUp);
   EXPECT_TRUE(sup.TakesTraffic());
-  EXPECT_TRUE(sup.WantsProbes());
   EXPECT_FALSE(sup.ShouldDial(0.0));
 }
 
@@ -146,7 +145,6 @@ TEST(ReplicaSupervisorTest, ReadmissionRequiresNConsecutiveCleanProbes) {
   sup.OnConnected(1.3);
   EXPECT_EQ(sup.state(), ReplicaHealth::kProbation);
   EXPECT_FALSE(sup.TakesTraffic()) << "probation must not take traffic";
-  EXPECT_TRUE(sup.WantsProbes());
   sup.OnProbeOk(1.5);
   EXPECT_FALSE(sup.TakesTraffic()) << "one probe of two is not readmission";
   sup.OnProbeOk(1.7);
@@ -217,7 +215,6 @@ TEST(ReplicaSupervisorTest, FlappingReplicaIsQuarantinedWithReason) {
   EXPECT_NE(sup.quarantine_reason().find("3 deaths"), std::string::npos)
       << sup.quarantine_reason();
   EXPECT_FALSE(sup.TakesTraffic());
-  EXPECT_FALSE(sup.WantsProbes());
   // No dialing during the 5s cooldown...
   EXPECT_FALSE(sup.ShouldDial(7.9));
   EXPECT_EQ(sup.state(), ReplicaHealth::kQuarantined);

@@ -43,12 +43,13 @@
 ///
 /// Self-healing (DESIGN.md §17): a replica that dies is routed around and
 /// automatically redialed on a capped-exponential-backoff ladder with
-/// deterministically seeded jitter; it is readmitted to the ring only after
-/// acking --readmit-probes consecutive health probes, after first being
-/// brought onto the fleet's current model and having its LRU re-warmed with
-/// the entity sets it answered recently. Predict requests orphaned by a
-/// replica death fail over once to a surviving replica (predictions are
-/// idempotent; broadcasts are not and report the replica as down instead).
+/// deterministically seeded jitter. On reconnection it is brought onto the
+/// fleet's current model and its LRU is re-warmed with the entity sets it
+/// answered recently; it is readmitted to the ring only after acking
+/// --readmit-probes consecutive health probes queued behind those replays.
+/// Predict requests orphaned by a replica death fail over once to a
+/// surviving replica (predictions are idempotent; broadcasts are not and
+/// report the replica as down instead).
 /// A replica that dies --flap-max-deaths times within --flap-window-s is
 /// quarantined for --quarantine-s with a stats-visible reason. With every
 /// replica down the router keeps accepting connections and answers predicts
@@ -70,7 +71,8 @@
 ///   --max-in-flight N       per-client pipelining window (default 128)
 ///   --spill-threshold N     least-loaded fallback trigger depth (default 32)
 ///   --vnodes N              ring virtual nodes per replica (default 64)
-///   --probe-interval-ms D   health probe period, 0 = off  (default 2000)
+///   --probe-interval-ms D   liveness probe period for replicas in the
+///                           ring, 0 = off                 (default 2000)
 ///   --connect-timeout-ms D  per-dial deadline             (default 1000)
 ///   --request-timeout-ms D  wedge deadline on the oldest in-flight request
 ///                           per replica link, 0 = off     (default 10000)
@@ -78,7 +80,9 @@
 ///                           late replicas report as down  (default 5000)
 ///   --redial-base-ms D      backoff ladder first delay    (default 100)
 ///   --redial-max-ms D       backoff ladder cap            (default 5000)
-///   --readmit-probes N      clean probes gating readmission (default 2)
+///   --readmit-probes N      consecutive clean probes gating readmission,
+///                           sent back to back, each on the last's reply
+///                                                         (default 2)
 ///   --flap-max-deaths N     circuit breaker: deaths tripping quarantine,
 ///                           0 = breaker off               (default 5)
 ///   --flap-window-s D       breaker sliding window        (default 30)
@@ -134,9 +138,11 @@ int Usage() {
       "speaks the edge_serve LDJSON protocol and dispatches to N\n"
       "edge_serve --listen replicas by consistent hash of the request's\n"
       "sorted entity-name set; downed replicas are redialed with backoff,\n"
-      "probed back to health and re-warmed before readmission; orphaned\n"
-      "predicts fail over to surviving replicas; --fleet spawns and\n"
-      "respawns the replica processes under a flap circuit breaker\n");
+      "re-warmed, then readmitted after --readmit-probes clean probes sent\n"
+      "back to back (--probe-interval-ms paces only the liveness probes of\n"
+      "replicas in the ring); orphaned predicts fail over to surviving\n"
+      "replicas; --fleet spawns and respawns the replica processes under a\n"
+      "flap circuit breaker\n");
   return 2;
 }
 
@@ -361,6 +367,8 @@ class Router {
       MaybeFinishDrain();
       double now = Now();
       Heal(now);
+      // Liveness tick for the ring. It pauses during a reload, so the drain
+      // barrier never waits on a probe reply.
       if (options_.probe_interval_ms > 0 && state_ == State::kRunning &&
           (now - last_probe) * 1000.0 >= options_.probe_interval_ms) {
         last_probe = now;
@@ -749,7 +757,11 @@ class Router {
           bool was_probation =
               replica.sup->state() == net::ReplicaHealth::kProbation;
           replica.sup->OnProbeOk(now);
-          if (was_probation && replica.sup->TakesTraffic()) {
+          if (replica.sup->state() == net::ReplicaHealth::kProbation) {
+            // Probation is paced by replies, not by the liveness tick: the
+            // next probe goes out as soon as this one comes back clean.
+            SendProbe(replica_index, now);
+          } else if (was_probation) {
             std::fprintf(stderr,
                          "edge_router: replica %s readmitted after %d clean "
                          "probes\n",
@@ -904,11 +916,13 @@ class Router {
     replica.dial_deadline = now + options_.connect_timeout_ms / 1000.0;
   }
 
-  /// A redial completed: adopt the link and start probation. Before any
-  /// probe can pass, the replica is brought onto the fleet's current model
-  /// (it may have restarted with its original argv) and its LRU is re-warmed
-  /// by replaying the entity sets it answered recently — answers to both are
-  /// swallowed, so readmission is invisible to clients.
+  /// A redial completed: adopt the link and start probation. The replica is
+  /// brought onto the fleet's current model (it may have restarted with its
+  /// original argv) and its LRU is re-warmed by replaying the entity sets it
+  /// answered recently — answers to both are swallowed, so readmission is
+  /// invisible to clients. The first probe goes right behind the replays:
+  /// replies are strictly ordered per link, so a clean one proves the
+  /// replica has handled the model path and answered every warm key.
   void AdmitConnection(size_t replica_index, double now) {
     Replica& replica = replicas_[replica_index];
     int fd = replica.dial_fd;
@@ -938,6 +952,9 @@ class Router {
       SendSwallowed(replica_index, line, now);
     }
     replica.warm = std::move(warm);
+    if (replica.sup->state() == net::ReplicaHealth::kProbation) {
+      SendProbe(replica_index, now);
+    }
   }
 
   void SendSwallowed(size_t replica_index, const std::string& line,
@@ -1207,17 +1224,25 @@ class Router {
     }
   }
 
-  // --- liveness probes -----------------------------------------------------
+  // --- probes --------------------------------------------------------------
 
+  /// Queues one health probe on `replica_index`'s link; its reply feeds the
+  /// supervisor (OnReplicaLine).
+  void SendProbe(size_t replica_index, double now) {
+    Replica& replica = replicas_[replica_index];
+    Token token;
+    token.type = TokenType::kProbe;
+    token.sent_at = now;
+    net::LineServer::ConnId conn = replica.conn;
+    replica.fifo.push_back(std::move(token));
+    server_->Send(conn, "{\"health\":true}");
+  }
+
+  /// The --probe-interval-ms tick: liveness probes for replicas in the
+  /// ring. Probation replicas are probed back to back instead.
   void SendProbes(double now) {
-    for (Replica& replica : replicas_) {
-      if (!replica.sup->WantsProbes()) continue;
-      Token token;
-      token.type = TokenType::kProbe;
-      token.sent_at = now;
-      net::LineServer::ConnId conn = replica.conn;
-      replica.fifo.push_back(std::move(token));
-      server_->Send(conn, "{\"health\":true}");
+    for (size_t i = 0; i < replicas_.size(); ++i) {
+      if (replicas_[i].sup->TakesTraffic()) SendProbe(i, now);
     }
   }
 

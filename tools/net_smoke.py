@@ -23,13 +23,18 @@ Usage:
 
 With --chaos, instead runs the self-healing drills (CI: net-chaos):
 
-  A. supervised fleet: edge_router --fleet spawns 4 replicas; one is
-     SIGKILLed mid-stream. Zero predict answers may be lost, every answer
-     must be byte-identical to the in-process pipe (orphaned predicts fail
-     over to surviving replicas), the victim must be respawned, probed and
-     readmitted within the backoff budget without a router restart, and the
-     router stats aggregate must validate against
-     tools/schemas/router_stats.schema.json.
+  A. supervised fleet at the default 2 s probe interval: edge_router
+     --fleet spawns 4 replicas, which must all be up within 2 s of the
+     router's listen line (readmission is paced by probe replies, not by
+     the liveness tick); one is then SIGKILLed mid-stream. Zero predict
+     answers may be lost, every answer must be byte-identical to the
+     in-process pipe (orphaned predicts fail over to surviving replicas),
+     the victim must be respawned, probed and readmitted within 3 s of the
+     kill without a router restart, and the router stats aggregate must
+     validate against tools/schemas/router_stats.schema.json.
+  P. probes off: a one-replica supervised fleet under --probe-interval-ms 0
+     must still readmit its replica and answer a predict, byte-identical to
+     the in-process pipe, within 5 s of the listen line.
   B. unroutable replica: a router fronting one live replica plus an
      address that never answers must keep serving (bounded connect), answer
      a stats broadcast within its deadline reporting the bad replica down
@@ -256,6 +261,14 @@ def validate_router_stats(args, stats, workdir_tag):
     print(f"chaos: router stats validated against schema ({path})")
 
 
+# Readmission bounds. Probation probes go back to back behind the replays,
+# so a fleet is up once its children bind; a 2 s liveness tick that gated
+# readmission took 4 s (two ticks) for each.
+BRINGUP_BOUND_S = 2.0
+RECONVERGE_BOUND_S = 3.0
+PROBES_OFF_BOUND_S = 5.0
+
+
 def chaos_fleet_drill(args):
     """Drill A: SIGKILL a supervised replica mid-stream; nothing may be lost."""
     requests = open(args.requests, "rb").read().splitlines()
@@ -281,10 +294,9 @@ def chaos_fleet_drill(args):
             "--gazetteer", args.gazetteer,
             "--fleet", config_path,
             "--listen", "0",
-            # Fast healing knobs so the whole drill fits a CI budget: redial
-            # from 50ms capped at 500ms, readmit after 2 clean probes at a
-            # 100ms probe cadence.
-            "--probe-interval-ms", "100",
+            # Fast redial knobs so the whole drill fits a CI budget: redial
+            # from 50ms capped at 500ms. The probe interval stays at its 2 s
+            # default: readmission after 2 clean probes must not wait on it.
             "--connect-timeout-ms", "500",
             "--request-timeout-ms", "15000",
             "--broadcast-timeout-ms", "5000",
@@ -306,7 +318,14 @@ def chaos_fleet_drill(args):
     )
     try:
         addr = wait_for_listen(router, err_path, pattern=ROUTER_LISTEN_RE)
+        listened = time.time()
         wait_for_up(addr, 4, 60, "fleet bring-up")
+        bringup_s = time.time() - listened
+        print(f"chaos: 4 replicas up {bringup_s:.3f}s after the listen line")
+        assert bringup_s < BRINGUP_BOUND_S, (
+            f"fleet bring-up took {bringup_s:.2f}s (bound {BRINGUP_BOUND_S}s): "
+            "readmission is waiting on the probe tick"
+        )
 
         stats = control_roundtrip(addr, "stats")["stats"]["router"]
         victims = [
@@ -324,6 +343,7 @@ def chaos_fleet_drill(args):
             # after dispatch lands on a FIFO still holding queued predicts.
             time.sleep(0.05)
             os.kill(victim["pid"], signal.SIGKILL)
+            killed = time.time()
             print(f"chaos: SIGKILLed replica {victim['addr']} pid {victim['pid']}")
             sock.shutdown(socket.SHUT_WR)
             sock.settimeout(120)
@@ -346,6 +366,12 @@ def chaos_fleet_drill(args):
         # The victim must rejoin without a router restart: respawned by the
         # supervisor, probed back to health, readmitted to the ring.
         wait_for_up(addr, 4, 60, "post-kill reconvergence")
+        reconverge_s = time.time() - killed
+        print(f"chaos: 4 replicas up again {reconverge_s:.3f}s after the kill")
+        assert reconverge_s < RECONVERGE_BOUND_S, (
+            f"reconvergence took {reconverge_s:.2f}s "
+            f"(bound {RECONVERGE_BOUND_S}s)"
+        )
         final = control_roundtrip(addr, "stats")
         router_stats = final["stats"]["router"]
         assert router_stats["respawns"] >= 1, router_stats
@@ -362,6 +388,56 @@ def chaos_fleet_drill(args):
         assert victim_state["deaths"] >= 1, victim_state
         validate_router_stats(args, final, "chaos")
         print("chaos fleet drill: kill -> failover -> respawn -> readmission ok")
+    finally:
+        router.terminate()
+        rc = router.wait(timeout=30)
+    assert rc == 0, f"router rc={rc}: " + open(err_path).read()
+
+
+def chaos_probes_off_drill(args):
+    """Drill P: --probe-interval-ms 0 turns off liveness probes, not
+    readmission; a supervised replica must still come up and answer."""
+    requests = open(args.requests, "rb").read().splitlines()
+    expected = inprocess_responses(args, requests[:1])[0]
+    port = pick_free_ports(1)[0]
+    config_path = f"{args.workdir}/probes_off.fleet.cfg"
+    with open(config_path, "w") as f:
+        f.write(
+            f"replica 127.0.0.1:{port} {args.serve}"
+            f" --model {args.model} --gazetteer {args.gazetteer}"
+            f" --canonical true --cache-capacity 0 --listen {port}\n"
+        )
+    err_path = f"{args.workdir}/probes_off.router.err"
+    router = subprocess.Popen(
+        [
+            args.router,
+            "--gazetteer", args.gazetteer,
+            "--fleet", config_path,
+            "--listen", "0",
+            "--probe-interval-ms", "0",
+        ],
+        stderr=open(err_path, "w"),
+    )
+    try:
+        addr = wait_for_listen(router, err_path, pattern=ROUTER_LISTEN_RE)
+        listened = time.time()
+        answer = None
+        while time.time() - listened < PROBES_OFF_BOUND_S:
+            answer = tcp_roundtrip(*addr, requests[:1])[0]
+            if b'"error"' not in answer:
+                break
+            time.sleep(0.05)
+        answered_s = time.time() - listened
+        assert b'"error"' not in answer, (
+            f"--probe-interval-ms 0 fleet still answers {answer[:120]} after "
+            f"{answered_s:.1f}s: its replica was never readmitted"
+        )
+        assert answer == expected, (
+            f"probes-off answer differs\n  expected: {expected[:160]}\n"
+            f"  received: {answer[:160]}"
+        )
+        print(f"chaos probes-off drill: first answer {answered_s:.3f}s after "
+              "the listen line ok")
     finally:
         router.terminate()
         rc = router.wait(timeout=30)
@@ -462,6 +538,7 @@ def main():
 
     if args.chaos:
         chaos_fleet_drill(args)
+        chaos_probes_off_drill(args)
         chaos_unroutable_drill(args)
         print("net smoke: all chaos drills passed")
         return
